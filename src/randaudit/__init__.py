@@ -7,6 +7,7 @@ resulting biases visible and reproducible.
 """
 
 from .errors import (
+    DegenerateStreamError,
     InfeasibleSizeError,
     ScriptedExhaustedError,
     ShortStreamWarning,

@@ -1,14 +1,17 @@
 """End-to-end bias experiments with reproducible reports.
 
-Every experiment returns an AuditReport whose ``config`` dict is enough to
-rerun it bit-for-bit via ``run_experiment``; ``reports_equal`` compares two
-reports ignoring only wall-clock duration.  Replications can be sharded
-across processes by deriving per-shard hash-counter seeds as
-``f"{base}:{shard}"``; aggregation is order-independent.
+Every experiment is registered by name in ``EXPERIMENTS`` and returns an
+AuditReport whose ``config`` dict is enough to rerun it bit-for-bit via
+``run_experiment``; ``reports_equal`` compares two reports ignoring only
+wall-clock duration.  Replications can be sharded across processes by
+deriving per-shard hash-counter seeds as ``f"{base}:{shard}"``;
+aggregation is order-independent.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import time
@@ -19,12 +22,14 @@ from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
 from .integers import RandomSource, floor_even_probability, randint_mask
-from .sampling import fisher_yates, random_indices, reservoir_r
+# perfbench/spans.py wraps random_indices and reservoir_r by their names in this module
+from .sampling import SampleSpec, fisher_yates, random_indices, reservoir_r  # noqa: F401
 
 __all__ = [
     "MURDOCH_M",
     "MURDOCH_SCALE",
     "AuditReport",
+    "EXPERIMENTS",
     "reports_equal",
     "murdoch_experiment",
     "permutation_coverage",
@@ -51,15 +56,17 @@ class AuditReport:
     """One experiment run: inputs, observed statistics, and verdict.
 
     The seed record plus config reproduce the run exactly; duration is the
-    only field excluded from reproducibility comparisons.
+    only field excluded from reproducibility comparisons.  Experiments
+    leave ``experiment`` and ``config`` to their registration (see
+    _experiment).
     """
 
-    experiment: str
-    config: dict
     seed: str
     replications: int
     observed: dict
     reference: dict
+    experiment: str = ""
+    config: dict = field(default_factory=dict)
     statistics: dict = field(default_factory=dict)
     p_values: dict = field(default_factory=dict)
     passed: bool | None = None
@@ -108,6 +115,48 @@ def reports_equal(a: AuditReport, b: AuditReport) -> bool:
     return da == db
 
 
+EXPERIMENTS: dict = {}
+
+
+def _experiment(name: str):
+    """Register an experiment in EXPERIMENTS under ``name``.
+
+    The registered function fills in its report's ``experiment`` and
+    ``config``.  The config holds every argument of the call, defaults
+    included, with a generator recorded as its spec() under "generator"
+    and LCG parameters as m, a and c; run_experiment reads it back.
+    """
+
+    def register(fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            config = {"experiment": name}
+            for key, value in call.arguments.items():
+                if isinstance(value, Generator):
+                    config["generator"] = value.spec()
+                elif isinstance(value, LcgParams):
+                    config.update(m=value.m, a=value.a, c=value.c)
+                else:
+                    config[key] = value
+            report = fn(*args, **kwargs)
+            report.experiment, report.config = name, config
+            return report
+
+        EXPERIMENTS[name] = run
+        return run
+
+    return register
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
+
+
 def _seed_record(gen: Generator) -> str:
     spec = gen.spec()
     return json.dumps(spec, sort_keys=True)
@@ -147,6 +196,7 @@ def spearman_rho(p, q):
 # ---------------------------------------------------------------------------
 # The even/odd integer experiment
 
+@_experiment("murdoch")
 def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditReport:
     """Draw integers on {1..m}, m = (2/5) * 2^32, and report the fraction
     of even values.
@@ -191,13 +241,6 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     z = (p_even - float(reference)) / se
     tolerance = 0.005
     return AuditReport(
-        experiment="murdoch",
-        config={
-            "experiment": "murdoch",
-            "generator": gen.spec(),
-            "method": method,
-            "replications": replications,
-        },
         seed=_seed_record(gen),
         replications=replications,
         observed={"p_even": p_even, "even_count": even},
@@ -217,6 +260,7 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
 # ---------------------------------------------------------------------------
 # Exhaustive pigeonhole coverage with a toy LCG
 
+@_experiment("coverage")
 def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     """Shuffle {1..n} once from every possible initial register of a toy
     LCG and count the distinct permutations.
@@ -247,14 +291,6 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     predicted_max = min(Fraction(1), Fraction(params.m, total))
     observed_fraction = Fraction(len(seen), total)
     return AuditReport(
-        experiment="coverage",
-        config={
-            "experiment": "coverage",
-            "m": params.m,
-            "a": params.a,
-            "c": params.c,
-            "n": n,
-        },
         seed=f"all {params.m} initial registers",
         replications=params.m,
         observed={
@@ -276,6 +312,7 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
 # ---------------------------------------------------------------------------
 # Permutation statistics under a trusted generator
 
+@_experiment("derangement")
 def derangement_test(
     gen: Generator, n: int, replications: int, alpha: float = DEFAULT_ALPHA
 ) -> AuditReport:
@@ -290,6 +327,7 @@ def derangement_test(
         raise ValueError("n must be >= 2")
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
+    _check_alpha(alpha)
 
     t0 = time.perf_counter()
     src = RandomSource(gen)
@@ -323,14 +361,6 @@ def derangement_test(
     chi2, p_chi2 = _chisquare(obs_cells, [float(e) for e in exp_cells])
 
     return AuditReport(
-        experiment="derangement",
-        config={
-            "experiment": "derangement",
-            "generator": gen.spec(),
-            "n": n,
-            "replications": replications,
-            "alpha": alpha,
-        },
         seed=_seed_record(gen),
         replications=replications,
         observed={
@@ -348,6 +378,7 @@ def derangement_test(
     )
 
 
+@_experiment("spearman")
 def spearman_test(
     gen: Generator, n: int, replications: int, alpha: float = DEFAULT_ALPHA
 ) -> AuditReport:
@@ -362,6 +393,7 @@ def spearman_test(
         raise ValueError("n must be >= 3")
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
+    _check_alpha(alpha)
 
     t0 = time.perf_counter()
     src = RandomSource(gen)
@@ -376,14 +408,6 @@ def spearman_test(
     z = mean_rho * math.sqrt(replications * (n - 1))
     p_val = _normal_two_sided(z)
     return AuditReport(
-        experiment="spearman",
-        config={
-            "experiment": "spearman",
-            "generator": gen.spec(),
-            "n": n,
-            "replications": replications,
-            "alpha": alpha,
-        },
         seed=_seed_record(gen),
         replications=replications,
         observed={"mean_rho": mean_rho},
@@ -395,6 +419,7 @@ def spearman_test(
     )
 
 
+@_experiment("sample_frequency")
 def sample_frequency_test(
     gen: Generator,
     n: int,
@@ -408,8 +433,9 @@ def sample_frequency_test(
     frequencies against uniform over all C(n,k) subsets.
 
     Requires C(n,k) <= 1e4 and at least 100 replications per cell so every
-    expected count is comfortably large.  Passing method="floor" or
-    "round" demonstrates the biased integer mappings inside the sampler.
+    expected count is comfortably large.  Any of the six sampling
+    algorithms may be audited; passing method="floor" or "round"
+    demonstrates the biased integer mappings inside the sampler.
     """
     import itertools
 
@@ -418,6 +444,8 @@ def sample_frequency_test(
         raise InfeasibleSizeError(f"C({n},{k}) = {cells} cells is too many")
     if replications < 100 * cells:
         raise ValueError(f"need at least {100 * cells} replications for {cells} cells")
+    _check_alpha(alpha)
+    spec = SampleSpec(n, k, algorithm=algorithm)
 
     t0 = time.perf_counter()
     index = {
@@ -426,18 +454,8 @@ def sample_frequency_test(
     }
     counts = [0] * cells
     src = RandomSource(gen, method=method)
-    if algorithm == "random_indices":
-        for _ in range(replications):
-            counts[index[random_indices(src, n, k).as_set()]] += 1
-    elif algorithm == "reservoir_r":
-        population = range(1, n + 1)
-        for _ in range(replications):
-            counts[index[reservoir_r(population, k, src).as_set()]] += 1
-    elif algorithm == "fisher_yates":
-        for _ in range(replications):
-            counts[index[frozenset(fisher_yates(src, n).items[:k])]] += 1
-    else:
-        raise ValueError(f"unsupported algorithm {algorithm!r}")
+    for _ in range(replications):
+        counts[index[spec.run(src).as_set()]] += 1
     duration = time.perf_counter() - t0
 
     if cells == 1:  # k = n: a single possible sample, nothing to test
@@ -445,17 +463,6 @@ def sample_frequency_test(
     else:
         chi2, p_val = _chisquare(counts)
     return AuditReport(
-        experiment="sample_frequency",
-        config={
-            "experiment": "sample_frequency",
-            "generator": gen.spec(),
-            "n": n,
-            "k": k,
-            "replications": replications,
-            "algorithm": algorithm,
-            "method": method,
-            "alpha": alpha,
-        },
         seed=_seed_record(gen),
         replications=replications,
         observed={"min_cell": min(counts), "max_cell": max(counts)},
@@ -470,6 +477,7 @@ def sample_frequency_test(
 # ---------------------------------------------------------------------------
 # Calibration battery
 
+@_experiment("calibration")
 def calibration(
     base_seed: str = "calibration",
     repetitions: int = 100,
@@ -496,6 +504,9 @@ def calibration(
     Repetition r of family f uses seed ``f"{base_seed}:{f}:{r}"``, so
     shards can run anywhere and be merged.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    _check_alpha(alpha)
     t0 = time.perf_counter()
     p_lists = {"derangement": [], "spearman": [], "sample_frequency": []}
     for r in range(repetitions):
@@ -522,20 +533,6 @@ def calibration(
     rejections = {name: sum(1 for p in ps if p < alpha) for name, ps in p_lists.items()}
     total_rejections = sum(rejections.values())
     return AuditReport(
-        experiment="calibration",
-        config={
-            "experiment": "calibration",
-            "base_seed": base_seed,
-            "repetitions": repetitions,
-            "alpha": alpha,
-            "derangement_n": derangement_n,
-            "derangement_reps": derangement_reps,
-            "spearman_n": spearman_n,
-            "spearman_reps": spearman_reps,
-            "freq_n": freq_n,
-            "freq_k": freq_k,
-            "freq_reps": freq_reps,
-        },
         seed=base_seed,
         replications=repetitions,
         observed={
@@ -554,37 +551,16 @@ def calibration(
 
 def run_experiment(config: dict) -> AuditReport:
     """Rerun an experiment from a report's config dict."""
-    cfg = dict(config)
-    name = cfg.pop("experiment")
-    if name == "murdoch":
-        return murdoch_experiment(
-            from_spec(cfg["generator"]), cfg["method"], cfg["replications"]
-        )
-    if name == "coverage":
-        return permutation_coverage(
-            LcgParams(m=cfg["m"], a=cfg["a"], c=cfg["c"]), cfg["n"]
-        )
-    if name == "derangement":
-        return derangement_test(
-            from_spec(cfg["generator"]), cfg["n"], cfg["replications"], cfg["alpha"]
-        )
-    if name == "spearman":
-        return spearman_test(
-            from_spec(cfg["generator"]), cfg["n"], cfg["replications"], cfg["alpha"]
-        )
-    if name == "sample_frequency":
-        return sample_frequency_test(
-            from_spec(cfg["generator"]),
-            cfg["n"],
-            cfg["k"],
-            cfg["replications"],
-            cfg["algorithm"],
-            cfg["method"],
-            cfg["alpha"],
-        )
-    if name == "calibration":
-        return calibration(**cfg)
-    raise ValueError(f"unknown experiment {name!r}")
+    args = dict(config)
+    name = args.pop("experiment")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    first = ()
+    if "generator" in args:
+        first = (from_spec(args.pop("generator")),)
+    elif "m" in args:
+        first = (LcgParams(args.pop("m"), args.pop("a"), args.pop("c")),)
+    return EXPERIMENTS[name](*first, **args)
 
 
 def replay(report: AuditReport) -> AuditReport:

@@ -6,6 +6,9 @@ everything here is exact: factorials and binomials are arbitrary-precision
 integers, attainability fractions are rationals, and the floating
 inequalities (Stirling, entropy) are evaluated in 50-digit arithmetic,
 far beyond the gap between each bound and its target.
+
+Exact values are limited to MAX_BITS bits, checked from a cheap estimate
+before anything large is computed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InfeasibleSizeError
+
 __all__ = [
+    "MAX_BITS",
     "factorial",
     "binomial",
     "power",
@@ -35,15 +41,32 @@ __all__ = [
 ]
 
 
+# 2**18 bits is about 78,900 decimal digits.  Reducing an attainable
+# fraction of that width takes about 0.3 s (gcd is quadratic in the width);
+# the pigeonhole table needs under 20,000 bits.
+MAX_BITS = 1 << 18
+
+
+def _check_bits(bits: float, what: str) -> None:
+    if bits > MAX_BITS:
+        raise InfeasibleSizeError(f"{what} is wider than the {MAX_BITS}-bit limit for exact values")
+
+
 def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # n! >= 2**n once n >= 4, so n itself bounds the width from below
+    _check_bits(n if n > MAX_BITS else math.lgamma(n + 1) / math.log(2), f"{n}!")
     return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         raise ValueError("need 0 <= k <= n")
+    j = min(k, n - k)
+    if j:
+        # C(n, j) <= (e n / j)**j
+        _check_bits(j * (math.log2(n) - math.log2(j) + math.log2(math.e)), f"C({n},{k})")
     return math.comb(n, k)
 
 
@@ -164,6 +187,8 @@ def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:
         raise ValueError("state_bits must be >= 1")
     if target < 1:
         raise ValueError("target must be >= 1")
+    _check_bits(state_bits, f"a {state_bits}-bit state space")
+    _check_bits(target.bit_length(), "the target")
     states = 1 << state_bits
     fraction = min(Fraction(1), Fraction(states, target))
     l1 = max(Fraction(0), 2 * Fraction(target - states, target))

@@ -3,30 +3,30 @@
 Every command resolves a seed (flag > seed file > RANDAUDIT_SEED env
 var), echoes the full configuration and seed into its output header, and
 is byte-for-byte reproducible from that header apart from timing fields.
-Exit codes: 0 success, 2 usage error, 3 infeasible exhaustive size.
+
+Exit codes, each failure with a one-line ``error:`` on stderr: 0 success;
+2 usage error, including alpha outside (0, 1), zero calibration
+repetitions, an exhausted scripted source, and a degenerate generator
+(DegenerateStreamError: a redraw loop hit its limit); 3 infeasible size,
+including ``bounds`` values wider than 2**18 bits (``--state-bits`` above
+262144, ``--target-perm`` above about 20,400, C(n,k) above about 78,900
+digits).  ``audit sample-frequency --algorithm`` takes all six samplers.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 from . import audit as audit_mod
 from . import bounds as bounds_mod
-from .errors import InfeasibleSizeError, ScriptedExhaustedError
-from .generators import (
-    HashCounterGenerator,
-    LcgGenerator,
-    LcgParams,
-    Mt19937Generator,
-    Seed,
-    WichmannHillGenerator,
-    load_scripted,
-    load_seed,
-)
-from .integers import METHODS, RandomSource, randint_floor, randint_mask, randint_round
+from .errors import DegenerateStreamError, InfeasibleSizeError, ScriptedExhaustedError
+from .generators import LcgParams, load_scripted, load_seed, seed_generator
+# perfbench/spans.py wraps the three kernels by their names in this module
+from .integers import METHODS, RandomSource, randint_floor, randint_mask, randint_round  # noqa: F401
 from .sampling import ALGORITHMS, STREAMING_ALGORITHMS, SampleSpec
 
 SEED_ENV = "RANDAUDIT_SEED"
@@ -35,6 +35,9 @@ USAGE_ERROR = 2
 INFEASIBLE = 3
 
 _ALGO_NAMES = tuple(sorted(tag.replace("_", "-") for tag in ALGORITHMS))
+
+# --prng name -> generator variant
+PRNG_VARIANTS = {"hash": "hash_counter", "mt": "mt19937", "lcg": "lcg", "wh": "wichmann_hill"}
 
 
 class CliError(Exception):
@@ -70,25 +73,13 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
 
 
 def _build_generator(args, seed_text: str):
-    prng = args.prng
-    if prng == "hash":
-        return HashCounterGenerator(Seed.parse(seed_text))
-    if prng == "mt":
-        return Mt19937Generator(_int_seed(seed_text))
-    if prng == "wh":
-        return WichmannHillGenerator(_int_seed(seed_text))
-    if prng == "lcg":
+    variant = PRNG_VARIANTS[args.prng]
+    fields = {}
+    if variant == "lcg":
         if args.m is None or args.a is None or args.c is None:
             raise CliError("--prng lcg requires --a, --c and --m")
-        return LcgGenerator(LcgParams(m=args.m, a=args.a, c=args.c), _int_seed(seed_text))
-    raise CliError(f"unknown generator {prng!r}")
-
-
-def _int_seed(seed_text: str) -> int:
-    try:
-        return int(seed_text, 0)
-    except ValueError:
-        raise CliError(f"this generator needs an integer seed, got {seed_text!r}")
+        fields = {"m": args.m, "a": args.a, "c": args.c}
+    return seed_generator(variant, seed_text, **fields)
 
 
 def _header(config: dict) -> str:
@@ -118,21 +109,14 @@ def _cmd_gen(args) -> int:
         "int_range": args.int_range if args.emit == "integers" else None,
     }
     print(_header(config))
-    draw = None
-    if args.emit == "integers":
-        m = args.int_range
-        draw = {
-            "floor": lambda: randint_floor(gen, m),
-            "round": lambda: randint_round(gen, m),
-            "mask": lambda: randint_mask(gen, m),
-        }[args.method]
+    randint = RandomSource(gen, method=args.method).randint
     for _ in range(args.count):
         if args.emit == "words":
             print(gen.next_word())
         elif args.emit == "fractions":
             print(repr(gen.next_fraction()))
         else:
-            print(draw())
+            print(randint(args.int_range))
     return 0
 
 
@@ -243,33 +227,20 @@ def _cmd_bounds(args) -> int:
 # audit
 
 def _cmd_audit(args) -> int:
-    sub = args.audit_command
-    if sub == "coverage":
-        report = audit_mod.permutation_coverage(
-            LcgParams(m=args.m, a=args.a, c=args.c), args.n
-        )
-    elif sub == "calibration":
-        seed_text = _resolve_seed(args, allow_entropy=False)
-        report = audit_mod.calibration(
-            base_seed=seed_text,
-            repetitions=args.repetitions,
-            alpha=args.alpha,
-        )
-    else:
-        seed_text = _resolve_seed(args, allow_entropy=False)
-        gen = _build_generator(args, seed_text)
-        if sub == "murdoch":
-            report = audit_mod.murdoch_experiment(gen, args.method, args.reps)
-        elif sub == "derangement":
-            report = audit_mod.derangement_test(gen, args.n, args.reps, args.alpha)
-        elif sub == "spearman":
-            report = audit_mod.spearman_test(gen, args.n, args.reps, args.alpha)
-        elif sub == "sample-frequency":
-            report = audit_mod.sample_frequency_test(
-                gen, args.n, args.k, args.reps, args.algorithm, args.method, args.alpha
-            )
-        else:
-            raise CliError(f"unknown audit {sub!r}")
+    # each experiment parameter comes from the flag of the same name, except
+    # the generator, the toy LCG's parameters and the calibration seed
+    run = audit_mod.EXPERIMENTS[args.audit_command.replace("-", "_")]
+    kwargs = {}
+    for name in inspect.signature(run).parameters:
+        if name == "gen":
+            kwargs[name] = _build_generator(args, _resolve_seed(args, allow_entropy=False))
+        elif name == "params":
+            kwargs[name] = LcgParams(m=args.m, a=args.a, c=args.c)
+        elif name == "base_seed":
+            kwargs[name] = _resolve_seed(args, allow_entropy=False)
+        elif hasattr(args, name):
+            kwargs[name] = getattr(args, name)
+    report = run(**kwargs)
 
     if args.format == "csv":
         import csv as csv_lib
@@ -302,7 +273,7 @@ def _cmd_audit(args) -> int:
 def _add_generator_flags(p: argparse.ArgumentParser, default_prng="hash"):
     p.add_argument(
         "--prng",
-        choices=("hash", "mt", "lcg", "wh"),
+        choices=tuple(PRNG_VARIANTS),
         default=default_prng,
         help="generator family (default: the hash-counter generator)",
     )
@@ -362,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     am = asub.add_parser("murdoch", help="even/odd split of floor vs mask integers")
     _add_generator_flags(am, default_prng="mt")
     am.add_argument("--method", choices=("floor", "mask"), required=True)
-    am.add_argument("--reps", type=int, default=10 ** 6)
+    am.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 6)
     _add_report_flags(am)
 
     ac = asub.add_parser("coverage", help="exhaustive permutation coverage of a toy LCG")
@@ -375,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     ad = asub.add_parser("derangement", help="derangement frequency test")
     _add_generator_flags(ad)
     ad.add_argument("--n", type=int, default=7)
-    ad.add_argument("--reps", type=int, default=10 ** 4)
+    ad.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
     ad.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
     _add_report_flags(ad)
 
     asp = asub.add_parser("spearman", help="mean rank-correlation test")
     _add_generator_flags(asp)
     asp.add_argument("--n", type=int, default=7)
-    asp.add_argument("--reps", type=int, default=10 ** 4)
+    asp.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
     asp.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
     _add_report_flags(asp)
 
@@ -390,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(af)
     af.add_argument("--n", type=int, default=5)
     af.add_argument("--k", type=int, default=2)
-    af.add_argument("--reps", type=int, default=10 ** 4)
-    af.add_argument("--algorithm", default="random_indices",
-                    choices=("random_indices", "reservoir_r", "fisher_yates"))
+    af.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
+    af.add_argument("--algorithm", default="random_indices", choices=tuple(ALGORITHMS))
     af.add_argument("--method", choices=METHODS, default="mask")
     af.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
     _add_report_flags(af)
@@ -425,7 +395,7 @@ def main(argv=None) -> int:
     except InfeasibleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INFEASIBLE
-    except (ValueError, OSError, ScriptedExhaustedError) as exc:
+    except (ValueError, OSError, ScriptedExhaustedError, DegenerateStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -24,6 +24,7 @@ __all__ = [
     "HashCounterGenerator",
     "ScriptedGenerator",
     "digest_words",
+    "VARIANTS",
     "seed_generator",
     "from_spec",
     "load_scripted",
@@ -219,7 +220,7 @@ class WichmannHillGenerator(Generator):
             not 1 <= s < m for s, m in zip(triple, WH_MODULI)
         ):
             raise ValueError(f"registers must satisfy 1 <= s_i < {WH_MODULI}")
-        self._seed = seed
+        self._seed = seed if isinstance(seed, int) else triple
         self._s = list(triple)
         self.words_emitted = 0
 
@@ -465,47 +466,55 @@ class ScriptedGenerator(Generator):
 # ---------------------------------------------------------------------------
 # Construction helpers
 
-def seed_generator(variant: str, seed, **kwargs) -> Generator:
+def _int_seed(seed):
+    """An integer seed, read from text (decimal or 0x-prefixed) when it is one."""
+    if not isinstance(seed, str):
+        return seed
+    try:
+        return int(seed, 0)
+    except ValueError:
+        raise ValueError(f"this generator needs an integer seed, got {seed!r}") from None
+
+
+def _lcg(seed, m=None, a=None, c=None, params: LcgParams | None = None) -> LcgGenerator:
+    return LcgGenerator(params or LcgParams(m=m, a=a, c=c), _int_seed(seed))
+
+
+def _hash_counter(seed, width: int = 32, hash: str = "sha256") -> HashCounterGenerator:
+    # a text seed is in Seed.human form, as spec() records it
+    return HashCounterGenerator(Seed.parse(seed) if isinstance(seed, str) else seed, width, hash)
+
+
+# variant -> build(seed, **fields), where fields are the rest of the
+# variant's spec() record; integer seeds may also be given as text
+VARIANTS = {
+    "lcg": _lcg,
+    "wichmann_hill": lambda seed: WichmannHillGenerator(_int_seed(seed)),
+    "mt19937": lambda seed: Mt19937Generator(_int_seed(seed)),
+    "hash_counter": _hash_counter,
+    "scripted": lambda seed, script, width, cycles=1: ScriptedGenerator(script, width, cycles),
+}
+
+
+def seed_generator(variant: str, seed, **fields) -> Generator:
     """Build a freshly seeded generator.
 
     variant: one of lcg | wichmann_hill | mt19937 | hash_counter | scripted.
-    LCGs take params=LcgParams(...) or m=, a=, c= keywords; scripted takes
-    script= and width=.
+    The keywords are the fields of the variant's spec() record: LCGs take
+    m=, a=, c= (or params=LcgParams(...)), hash counters width= and hash=,
+    scripted sources script=, width= and cycles= (and ignore the seed).
     """
-    if variant == "lcg":
-        params = kwargs.pop("params", None)
-        if params is None:
-            params = LcgParams(m=kwargs.pop("m"), a=kwargs.pop("a"), c=kwargs.pop("c"))
-        return LcgGenerator(params, seed)
-    if variant == "wichmann_hill":
-        return WichmannHillGenerator(seed)
-    if variant == "mt19937":
-        return Mt19937Generator(seed)
-    if variant == "hash_counter":
-        return HashCounterGenerator(seed, **kwargs)
-    if variant == "scripted":
-        return ScriptedGenerator(kwargs.pop("script"), kwargs.pop("width"), **kwargs)
-    raise ValueError(f"unknown generator variant: {variant!r}")
+    try:
+        build = VARIANTS[variant]
+    except KeyError:
+        raise ValueError(f"unknown generator variant: {variant!r}") from None
+    return build(seed, **fields)
 
 
 def from_spec(spec: dict) -> Generator:
     """Rebuild a generator from the dict its ``spec()`` method produced."""
-    d = dict(spec)
-    variant = d.pop("variant")
-    if variant == "lcg":
-        return LcgGenerator(LcgParams(m=d["m"], a=d["a"], c=d["c"]), d["seed"])
-    if variant == "wichmann_hill":
-        seed = d["seed"]
-        return WichmannHillGenerator(tuple(seed) if isinstance(seed, list) else seed)
-    if variant == "mt19937":
-        return Mt19937Generator(d["seed"])
-    if variant == "hash_counter":
-        return HashCounterGenerator(
-            Seed.parse(d["seed"]), width=d.get("width", 32), hash_name=d.get("hash", "sha256")
-        )
-    if variant == "scripted":
-        return ScriptedGenerator(d["script"], d["width"], d.get("cycles", 1))
-    raise ValueError(f"unknown generator variant: {variant!r}")
+    fields = dict(spec)
+    return seed_generator(fields.pop("variant"), fields.pop("seed", None), **fields)
 
 
 # ---------------------------------------------------------------------------

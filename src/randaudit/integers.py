@@ -14,10 +14,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleSizeError, UnreachableValuesWarning
+from .errors import DegenerateStreamError, InfeasibleSizeError, UnreachableValuesWarning
 from .generators import Generator
 
 __all__ = [
+    "KERNELS",
     "METHODS",
     "floor_value",
     "floor_value_float",
@@ -34,9 +35,11 @@ __all__ = [
     "RandomSource",
 ]
 
-METHODS = ("floor", "round", "mask")
-
 MAX_EXACT_WIDTH = 24
+
+# Each candidate of a mask draw is rejected with probability below 1/2, so
+# IID uniform bits reject this many in a row with probability below 2**-64.
+MAX_REJECTIONS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,8 @@ def randint_mask(gen: Generator, m: int) -> int:
     rejects candidates above m - 1.  Leftover bits of a word are kept for
     the next candidate within this call but discarded when the call
     returns, so each call's word consumption depends only on (m, stream).
+    Raises DegenerateStreamError after MAX_REJECTIONS rejected candidates
+    in a row.
     """
     mu = mask_bits(m)
     if mu == 0:
@@ -133,6 +138,7 @@ def randint_mask(gen: Generator, m: int) -> int:
     w = gen.width
     pool = 0
     bits = 0
+    rejected = 0
     while True:
         while bits < mu:
             pool = (pool << w) | gen.next_word()
@@ -143,6 +149,14 @@ def randint_mask(gen: Generator, m: int) -> int:
         bits = shift
         if r < m:
             return r + 1
+        rejected += 1
+        if rejected == MAX_REJECTIONS:
+            raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
+
+
+# method -> the kernel drawing one integer on {1..m} from a generator
+KERNELS = {"floor": randint_floor, "round": randint_round, "mask": randint_mask}
+METHODS = tuple(KERNELS)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +209,7 @@ def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
     value with brute-force enumeration of every word (the test suite
     checks this).  mask is uniform 1/m by the rejection argument.
     """
-    if method not in METHODS:
+    if method not in KERNELS:
         raise ValueError(f"unknown method {method!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -207,20 +221,13 @@ def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
     probs: dict[int, Fraction] = {}
     if method == "mask":
         probs = {v: Fraction(1, m) for v in range(1, m + 1)}
-    elif method == "floor":
-        # words mapping to v are [ceil((v-1)*2^w/m), ceil(v*2^w/m)) clipped
+    else:
+        # floor maps the words [ceil((v-1)*2^w/m), ceil(v*2^w/m)) to v, raw
+        # round (on {0..m}) the words [ceil((2v-1)*2^w/2m), ceil((2v+1)*2^w/2m))
+        half = int(method == "round")
         prev = 0
-        for v in range(1, m + 1):
-            hi = min(_ceil_div(v * total, m), total)
-            if hi > prev:
-                probs[v] = Fraction(hi - prev, total)
-            prev = hi
-            if prev >= total:
-                break
-    else:  # round, raw on {0..m}
-        prev = 0
-        for v in range(0, m + 1):
-            hi = min(_ceil_div((2 * v + 1) * total, 2 * m), total)
+        for v in range(1 - half, m + 1):
+            hi = min(_ceil_div((2 * v + half) * total, 2 * m), total)
             if hi > prev:
                 probs[v] = Fraction(hi - prev, total)
             prev = hi
@@ -287,30 +294,34 @@ class RandomSource:
     """
 
     def __init__(self, gen: Generator, method: str = "mask"):
-        if method not in METHODS:
+        if method not in KERNELS:
             raise ValueError(f"unknown method {method!r}")
+        self._draw = KERNELS[method]
         self.gen = gen
         self.method = method
         self.draws = 0
 
     def randint(self, m: int) -> int:
         self.draws += 1
-        if self.method == "mask":
-            return randint_mask(self.gen, m)
-        if self.method == "floor":
-            return randint_floor(self.gen, m)
-        return randint_round(self.gen, m)
+        return self._draw(self.gen, m)
 
     def fraction(self) -> float:
         return self.gen.next_fraction()
 
     def fraction_nonzero(self) -> float:
         """A fraction in (0, 1); redraws on an exact 0 word so that skip
-        computations involving log(v) stay finite."""
-        while True:
+        computations involving log(v) stay finite.
+
+        IID uniform w-bit words are 0 with probability 2**-w, so more than
+        64 // w + 1 zeros in a row (probability below 2**-64) raise
+        DegenerateStreamError.
+        """
+        limit = 64 // self.gen.width + 1
+        for _ in range(limit):
             f = self.gen.next_fraction()
             if f > 0.0:
                 return f
+        raise DegenerateStreamError(f"{limit} zero words in a row; the generator is stuck at 0")
 
     @property
     def words_used(self) -> int:

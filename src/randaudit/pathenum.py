@@ -46,7 +46,9 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .sampling import (
+# perfbench/spans.py wraps the six samplers by their names in this module
+from .sampling import (  # noqa: F401
+    SampleSpec,
     ScriptedSource,
     cormen_sample,
     fisher_yates,
@@ -64,13 +66,12 @@ __all__ = [
 ]
 
 
-class _NeedInt(Exception):
-    def __init__(self, m):
+class _NeedDraw(Exception):
+    """The script ran out at a draw: an integer on {1..m}, or a fraction
+    when m is None."""
+
+    def __init__(self, m=None):
         self.m = m
-
-
-class _NeedFraction(Exception):
-    pass
 
 
 class _Replay:
@@ -84,7 +85,7 @@ class _Replay:
 
     def randint(self, m: int) -> int:
         if self._pos >= len(self._script):
-            raise _NeedInt(m)
+            raise _NeedDraw(m)
         kind, value, m_recorded = self._script[self._pos]
         if kind != "i" or m_recorded != m:
             raise AssertionError("replay diverged from recorded draw sequence")
@@ -94,7 +95,7 @@ class _Replay:
 
     def fraction(self) -> float:
         if self._pos >= len(self._script):
-            raise _NeedFraction()
+            raise _NeedDraw()
         kind, value, _ = self._script[self._pos]
         if kind != "f":
             raise AssertionError("replay diverged from recorded draw sequence")
@@ -111,81 +112,62 @@ class _Replay:
         return self._pos == len(self._script)
 
 
+def _enumerate(run, branch):
+    """DFS over the draw scripts of ``run(source) -> outcome``.
+
+    ``branch(m, script)`` lists the (entry, probability) pairs that extend
+    ``script`` at the draw it ran out on (m as in _NeedDraw).  Returns
+    {outcome: Fraction}; the masses sum to exactly 1.
+    """
+    results: dict = defaultdict(Fraction)
+    stack = [((), Fraction(1))]
+    while stack:
+        script, prob = stack.pop()
+        src = _Replay(script)
+        try:
+            outcome = run(src)
+        except _NeedDraw as need:
+            for entry, p in branch(need.m, script):
+                if p:
+                    stack.append((script + (entry,), prob * p))
+            continue
+        if not src.fully_consumed():
+            raise AssertionError("algorithm finished without using all draws")
+        results[outcome] += prob
+    total = sum(results.values())
+    if total != 1:
+        raise AssertionError(f"path probabilities sum to {total}, not 1")
+    return dict(results)
+
+
+# Branch rules, built from (n, k, draw_dist).  draw_dist(m) -> {value:
+# Fraction} is the per-draw distribution, uniform when omitted.
+
 def _uniform(m: int) -> dict[int, Fraction]:
     p = Fraction(1, m)
     return {v: p for v in range(1, m + 1)}
 
 
-def _enumerate_int_paths(run, draw_dist=None):
-    """DFS over integer-draw outcomes of ``run(source) -> outcome``.
-
-    draw_dist(m) -> {value: Fraction} gives the per-draw distribution
-    (uniform when omitted).  Returns {outcome: Fraction}; the masses sum
-    to exactly 1.
-    """
+def _int_draws(n, k, draw_dist):
+    """Every integer draw on {1..m} branches over draw_dist(m)."""
     dist = draw_dist or _uniform
-    results: dict = defaultdict(Fraction)
-    stack = [((), Fraction(1))]
-    while stack:
-        script, prob = stack.pop()
-        src = _Replay(script)
-        try:
-            outcome = run(src)
-        except _NeedInt as need:
-            for v, p in dist(need.m).items():
-                if p:
-                    stack.append((script + (("i", v, need.m),), prob * p))
-            continue
-        if not src.fully_consumed():
-            raise AssertionError("algorithm finished without using all draws")
-        results[outcome] += prob
-    total = sum(results.values())
-    if total != 1:
-        raise AssertionError(f"path probabilities sum to {total}, not 1")
-    return dict(results)
+    return lambda m, script: [(("i", v, m), p) for v, p in dist(m).items()]
 
 
-def _enumerate_collapsed_distinct(run, n: int, draw_dist=None):
-    """Like _enumerate_int_paths but for draw-until-distinct rejection on
-    {1..n}: scripts are duplicate-free and each accepted value v after the
-    distinct prefix 'seen' carries weight p(v) / (1 - p(seen))."""
+def _distinct_draws(n, k, draw_dist):
+    """Draw-until-distinct on {1..n}, collapsed: scripts are duplicate-free
+    and each accepted value v after the distinct prefix 'seen' carries
+    weight p(v) / (1 - p(seen))."""
     base = (draw_dist or _uniform)(n)
-    results: dict = defaultdict(Fraction)
-    stack = [((), Fraction(1))]
-    while stack:
-        script, prob = stack.pop()
-        src = _Replay(script)
-        try:
-            outcome = run(src)
-        except _NeedInt as need:
-            if need.m != n:
-                raise AssertionError("collapsed enumeration expects draws on {1..n}")
-            seen = {entry[1] for entry in script}
-            denom = 1 - sum(base[s] for s in seen)
-            for v, p in base.items():
-                if v not in seen and p:
-                    stack.append((script + (("i", v, n),), prob * p / denom))
-            continue
-        if not src.fully_consumed():
-            raise AssertionError("algorithm finished without using all draws")
-        results[outcome] += prob
-    total = sum(results.values())
-    if total != 1:
-        raise AssertionError(f"path probabilities sum to {total}, not 1")
-    return dict(results)
 
+    def branch(m, script):
+        if m != n:
+            raise AssertionError("collapsed enumeration expects draws on {1..n}")
+        seen = {entry[1] for entry in script}
+        denom = 1 - sum(base[s] for s in seen)
+        return [(("i", v, n), p / denom) for v, p in base.items() if v not in seen and p]
 
-def _pikk_subsets(n: int, k: int):
-    results: dict = defaultdict(Fraction)
-    p = Fraction(1, math.factorial(n))
-    for order in itertools.permutations(range(n)):
-        # item with rank r in the order gets the r-th smallest fraction
-        fracs = [0.0] * n
-        for rank, item in enumerate(order):
-            fracs[item] = (rank + 1) / (n + 2)
-        sample = pikk(ScriptedSource(fractions=fracs), n, k)
-        results[sample.as_set()] += p
-    return dict(results)
+    return branch
 
 
 def _skip_cells(k: int, t: int, remaining: int):
@@ -205,37 +187,36 @@ def _skip_cells(k: int, t: int, remaining: int):
         yield remaining, q_prev, float(q_prev / 2)  # tail: stream exhausts
 
 
-def _vitter_subsets(n: int, k: int):
-    stream = range(1, n + 1)
+def _skips_and_slots(n, k, draw_dist):
+    """vitter_z: a fraction branches over the exact skip cells (its script
+    entry records the skip, so the records seen so far are k plus the skips
+    and their records); a slot draw is uniform on {1..k}."""
+
+    def branch(m, script):
+        if m is None:
+            t = k + sum(entry[2] + 1 for entry in script if entry[0] == "f")
+            return [(("f", v, s), p) for s, p, v in _skip_cells(k, t, n - t)]
+        if m != k:
+            raise AssertionError("vitter slot draw should be on {1..k}")
+        return [(("i", v, k), Fraction(1, k)) for v in range(1, k + 1)]
+
+    return branch
+
+
+# algorithm -> branch rule, where its draws are not plain integer draws
+_BRANCH_RULES = {"random_indices": _distinct_draws, "vitter_z": _skips_and_slots}
+
+
+def _pikk_subsets(spec: SampleSpec):
+    n = spec.n
     results: dict = defaultdict(Fraction)
-    # frame: script so far, its probability, records seen, records consumed
-    stack = [((), Fraction(1), k, k)]
-    while stack:
-        script, prob, t, consumed = stack.pop()
-        src = _Replay(script)
-        try:
-            sample = vitter_z(stream, k, src)
-        except _NeedFraction:
-            remaining = n - consumed
-            for s, p, v in _skip_cells(k, t, remaining):
-                if p:
-                    stack.append(
-                        (script + (("f", v, None),), prob * p, t + s + 1, consumed + s + 1)
-                    )
-            continue
-        except _NeedInt as need:
-            if need.m != k:
-                raise AssertionError("vitter slot draw should be on {1..k}")
-            p = Fraction(1, k)
-            for v in range(1, k + 1):
-                stack.append((script + (("i", v, k),), prob * p, t, consumed))
-            continue
-        if not src.fully_consumed():
-            raise AssertionError("algorithm finished without using all draws")
-        results[sample.as_set()] += prob
-    total = sum(results.values())
-    if total != 1:
-        raise AssertionError(f"path probabilities sum to {total}, not 1")
+    p = Fraction(1, math.factorial(n))
+    for order in itertools.permutations(range(n)):
+        # item with rank r in the order gets the r-th smallest fraction
+        fracs = [0.0] * n
+        for rank, item in enumerate(order):
+            fracs[item] = (rank + 1) / (n + 2)
+        results[spec.run(ScriptedSource(fractions=fracs)).as_set()] += p
     return dict(results)
 
 
@@ -258,36 +239,18 @@ def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    spec = SampleSpec(n, k, algorithm=algorithm)
+    if draw_dist is not None and algorithm in ("pikk", "vitter_z"):
+        raise ValueError(f"{algorithm} enumeration does not take a draw distribution")
     if algorithm == "pikk":
-        if draw_dist is not None:
-            raise ValueError("pikk enumeration does not take a draw distribution")
-        return _pikk_subsets(n, k)
-    if algorithm == "fisher_yates":
-        return _enumerate_int_paths(
-            lambda src: frozenset(fisher_yates(src, n).items[:k]), draw_dist
-        )
-    if algorithm == "random_indices":
-        return _enumerate_collapsed_distinct(
-            lambda src: random_indices(src, n, k).as_set(), n, draw_dist
-        )
-    if algorithm == "cormen":
-        return _enumerate_int_paths(
-            lambda src: cormen_sample(src, n, k).as_set(), draw_dist
-        )
-    if algorithm == "reservoir_r":
-        return _enumerate_int_paths(
-            lambda src: reservoir_r(range(1, n + 1), k, src).as_set(), draw_dist
-        )
-    if algorithm == "vitter_z":
-        if draw_dist is not None:
-            raise ValueError("vitter_z enumeration does not take a draw distribution")
-        return _vitter_subsets(n, k)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        return _pikk_subsets(spec)
+    branch = _BRANCH_RULES.get(algorithm, _int_draws)(n, k, draw_dist)
+    return _enumerate(lambda src: spec.run(src).as_set(), branch)
 
 
 def exact_permutation_distribution(n: int, draw_dist=None):
     """Exact distribution over full permutations produced by fisher_yates."""
-    return _enumerate_int_paths(lambda src: fisher_yates(src, n).items, draw_dist)
+    return _enumerate(lambda src: fisher_yates(src, n).items, _int_draws(n, n, draw_dist))
 
 
 def uniform_subset_reference(n: int, k: int) -> dict:

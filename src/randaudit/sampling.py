@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ShortStreamWarning
+from .errors import DegenerateStreamError, ShortStreamWarning
 
 __all__ = [
     "Sample",
@@ -145,7 +145,12 @@ def fisher_yates(source, n: int) -> Sample:
 
 def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sample:
     """Draw k indices from {1..n}, either independently (with replacement)
-    or rejecting duplicates until k distinct indices are found."""
+    or rejecting duplicates until k distinct indices are found.
+
+    On wide IID uniform words every method gives each value probability at
+    least about 1/(2n), so 90n duplicates in a row happen with probability
+    below e**-45 < 2**-64; that many raise DegenerateStreamError.
+    """
     if k < 0 or n < 1:
         raise ValueError("need n >= 1 and k >= 0")
     if not with_replacement and k > n:
@@ -156,11 +161,17 @@ def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sa
             return [source.randint(n) for _ in range(k)], False
         seen: set[int] = set()
         picks: list[int] = []
+        duplicates = 0
         while len(picks) < k:
             v = source.randint(n)
             if v not in seen:
                 seen.add(v)
                 picks.append(v)
+                duplicates = 0
+                continue
+            duplicates += 1
+            if duplicates == 90 * n:
+                raise DegenerateStreamError(f"{duplicates} duplicate draws in a row")
         return picks, False
 
     return _accounted(source, run)
@@ -192,6 +203,20 @@ def cormen_sample(source, n: int, k: int) -> Sample:
 # ---------------------------------------------------------------------------
 # Reservoir (streaming) algorithms
 
+def _fill(it, k: int) -> tuple[list, bool]:
+    """The first k items of the iterator, and whether (with a warning) the
+    stream ended sooner."""
+    reservoir = list(itertools.islice(it, k))
+    short = len(reservoir) < k
+    if short:
+        warnings.warn(
+            f"stream ended after {len(reservoir)} items, reservoir wants {k}",
+            ShortStreamWarning,
+            stacklevel=5,
+        )
+    return reservoir, short
+
+
 def reservoir_r(stream, k: int, source) -> Sample:
     """Single-pass reservoir sampling: item t > k replaces a uniform slot
     with probability k/t (draw j on {1..t}, replace slot j if j <= k).
@@ -202,13 +227,8 @@ def reservoir_r(stream, k: int, source) -> Sample:
 
     def run():
         it = iter(stream)
-        reservoir = list(itertools.islice(it, k))
-        if len(reservoir) < k:
-            warnings.warn(
-                f"stream ended after {len(reservoir)} items, reservoir wants {k}",
-                ShortStreamWarning,
-                stacklevel=4,
-            )
+        reservoir, short = _fill(it, k)
+        if short:
             return reservoir, True
         for t, item in enumerate(it, start=k + 1):
             j = source.randint(t)
@@ -236,9 +256,11 @@ def _skip_x(source, k: int, t: int) -> int:
 
 def _skip_z(source, k: int, t: int, w: float) -> tuple[int, float]:
     # rejection sampling of the skip length for large t, with the cheap
-    # squeeze test tried before the exact density evaluation
+    # squeeze test tried before the exact density evaluation; a trial is
+    # rejected with probability k/(t+1) < 1/22, so 32 rejections in a row
+    # (probability below 2**-142) mean the fractions are not uniform
     term = t - k + 1
-    while True:
+    for _ in range(32):
         u = source.fraction_nonzero()
         x = t * (w - 1.0)
         s = int(x)
@@ -261,6 +283,7 @@ def _skip_z(source, k: int, t: int, w: float) -> tuple[int, float]:
         w = math.exp(-math.log(source.fraction_nonzero()) / k)
         if math.exp(math.log(y) / k) <= (t + x) / t:
             return s, w
+    raise DegenerateStreamError("32 skip lengths in a row were rejected; the fractions are not uniform")
 
 
 def vitter_z(stream, k: int, source, switch_factor: int = 22) -> Sample:
@@ -275,13 +298,8 @@ def vitter_z(stream, k: int, source, switch_factor: int = 22) -> Sample:
 
     def run():
         it = iter(stream)
-        reservoir = list(itertools.islice(it, k))
-        if len(reservoir) < k:
-            warnings.warn(
-                f"stream ended after {len(reservoir)} items, reservoir wants {k}",
-                ShortStreamWarning,
-                stacklevel=4,
-            )
+        reservoir, short = _fill(it, k)
+        if short:
             return reservoir, True
         t = k
         thresh = switch_factor * k
@@ -310,13 +328,21 @@ def vitter_z(stream, k: int, source, switch_factor: int = 22) -> Sample:
     return _accounted(source, run)
 
 
+def _shuffle_prefix(source, n: int, k: int) -> Sample:
+    full = fisher_yates(source, n)
+    return Sample(items=full.items[:k], words=full.words, draws=full.draws, bits=full.bits)
+
+
+# tag -> draw(spec, source, stream): one sample for a validated SampleSpec
 ALGORITHMS = {
-    "pikk": pikk,
-    "fisher_yates": fisher_yates,
-    "random_indices": random_indices,
-    "cormen": cormen_sample,
-    "reservoir_r": reservoir_r,
-    "vitter_z": vitter_z,
+    "pikk": lambda spec, source, stream: pikk(source, spec.n, spec.k),
+    "fisher_yates": lambda spec, source, stream: _shuffle_prefix(source, spec.n, spec.k),
+    "random_indices": lambda spec, source, stream: random_indices(
+        source, spec.n, spec.k, spec.with_replacement
+    ),
+    "cormen": lambda spec, source, stream: cormen_sample(source, spec.n, spec.k),
+    "reservoir_r": lambda spec, source, stream: reservoir_r(stream, spec.k, source),
+    "vitter_z": lambda spec, source, stream: vitter_z(stream, spec.k, source),
 }
 
 STREAMING_ALGORITHMS = ("reservoir_r", "vitter_z")
@@ -360,23 +386,8 @@ class SampleSpec:
         """Draw one sample.  Streaming algorithms take items from
         ``stream`` (or 1..n when only n is given); the rest sample index
         sets from {1..n}."""
-        if self.algorithm in STREAMING_ALGORITHMS:
-            if stream is None:
-                if self.n is None:
-                    raise ValueError("streaming algorithms need a stream or n")
-                stream = range(1, self.n + 1)
-            return ALGORITHMS[self.algorithm](stream, self.k, source)
-        if self.algorithm == "pikk":
-            return pikk(source, self.n, self.k)
-        if self.algorithm == "cormen":
-            return cormen_sample(source, self.n, self.k)
-        if self.algorithm == "random_indices":
-            return random_indices(source, self.n, self.k, self.with_replacement)
-        full = fisher_yates(source, self.n)
-        return Sample(
-            items=full.items[: self.k],
-            words=full.words,
-            draws=full.draws,
-            bits=full.bits,
-            short=False,
-        )
+        if stream is None and self.algorithm in STREAMING_ALGORITHMS:
+            if self.n is None:
+                raise ValueError("streaming algorithms need a stream or n")
+            stream = range(1, self.n + 1)
+        return ALGORITHMS[self.algorithm](self, source, stream)
