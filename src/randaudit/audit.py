@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
-from .integers import RandomSource, floor_even_probability, randint_mask
+from .integers import RandomSource, floor_even_probability, floor_value_scaled, randint_mask
 # perfbench/spans.py wraps random_indices and reservoir_r by their names in this module
 from .sampling import SampleSpec, fisher_yates, random_indices, reservoir_r  # noqa: F401
 
@@ -227,8 +227,8 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
         remaining = replications
         while remaining:
             chunk = min(remaining, 1 << 18)
-            for word in gen.words(chunk):
-                even += 1 - (1 + num * word // (den << 32)) % 2
+            odd = sum([floor_value_scaled(word, 32, num, den) % 2 for word in gen.words(chunk)])
+            even += chunk - odd
             remaining -= chunk
     else:
         reference = Fraction(MURDOCH_M // 2, MURDOCH_M)

@@ -279,7 +279,7 @@ def _add_generator_flags(p: argparse.ArgumentParser, default_prng="hash"):
     )
     p.add_argument("--a", type=int, help="LCG multiplier")
     p.add_argument("--c", type=int, help="LCG increment")
-    p.add_argument("--m", type=int, help="LCG modulus / integer range for --as integers")
+    p.add_argument("--m", type=int, help="LCG modulus (--prng lcg only)")
     p.add_argument("--seed", help="seed (integer, or any string for --prng hash)")
     p.add_argument("--seed-string", help="explicit string seed for --prng hash")
     p.add_argument("--seed-file", help="file with one hex/decimal seed line")

@@ -8,6 +8,8 @@ words.  Equal construction arguments always yield equal output sequences;
 from __future__ import annotations
 
 import hashlib
+import random
+import struct
 from dataclasses import dataclass
 
 from .errors import ScriptedExhaustedError
@@ -256,70 +258,50 @@ class Mt19937Generator(Generator):
 
     Integer seeds are reduced modulo 2**32.  No burn-in is applied; the raw
     early output is part of what the audit tooling is meant to expose.
+
+    The initialization runs here; the twist and the tempering are CPython's
+    C implementation of the same reference algorithm, a private
+    ``random.Random`` loaded with the initialized state, whose
+    ``getrandbits(32)`` is the tempered word.
     """
 
     width = 32
-    _N = 624
-    _M = 397
-    _MATRIX_A = 0x9908B0DF
-    _UPPER = 0x80000000
-    _LOWER = 0x7FFFFFFF
 
     def __init__(self, seed: int = 5489):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         self._seed = seed
-        mt = [0] * self._N
+        mt = [0] * 624
         mt[0] = seed & 0xFFFFFFFF
-        for i in range(1, self._N):
+        for i in range(1, 624):
             mt[i] = (1812433253 * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i) & 0xFFFFFFFF
-        self._mt = mt
-        self._idx = self._N
+        # index 624: the first draw twists, as after init_genrand
+        self._rng = random.Random()
+        self._rng.setstate((3, (*mt, 624), None))
         self.words_emitted = 0
 
-    def _twist(self) -> None:
-        mt = self._mt
-        n, m = self._N, self._M
-        upper, lower, mat = self._UPPER, self._LOWER, self._MATRIX_A
-        for k in range(n):
-            y = (mt[k] & upper) | (mt[(k + 1) % n] & lower)
-            v = mt[(k + m) % n] ^ (y >> 1)
-            if y & 1:
-                v ^= mat
-            mt[k] = v
-        self._idx = 0
-
     def next_word(self) -> int:
-        if self._idx >= self._N:
-            self._twist()
-        y = self._mt[self._idx]
-        self._idx += 1
         self.words_emitted += 1
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        return y ^ (y >> 18)
+        return self._rng.getrandbits(32)
 
     def words(self, count: int) -> list[int]:
-        # block-tempering is ~2x faster than repeated next_word calls
-        out = []
-        append = out.append
-        while count > 0:
-            if self._idx >= self._N:
-                self._twist()
-            take = min(count, self._N - self._idx)
-            for y in self._mt[self._idx : self._idx + take]:
-                y ^= y >> 11
-                y ^= (y << 7) & 0x9D2C5680
-                y ^= (y << 15) & 0xEFC60000
-                append(y ^ (y >> 18))
-            self._idx += take
-            self.words_emitted += take
-            count -= take
-        return out
+        # getrandbits(32 * count) fills its result with consecutive words,
+        # least significant first
+        if count <= 0:
+            return []
+        block = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        self.words_emitted += count
+        return list(struct.unpack(f"<{count}I", block))
 
     def spec(self) -> dict:
         return {"variant": "mt19937", "seed": self._seed}
+
+
+# word width -> unpacker of a 256-bit digest into big-endian words that wide
+_UNPACK_256 = {
+    width: struct.Struct(f">{256 // width}{code}").unpack
+    for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+}
 
 
 def digest_words(
@@ -333,8 +315,10 @@ def digest_words(
     """
     if counter < 0:
         raise ValueError("counter must be nonnegative")
-    h = hashlib.new(hash_name, seed_bytes + b"," + str(counter).encode("ascii"))
-    digest = h.digest()
+    digest = hashlib.new(hash_name, b"%s,%d" % (seed_bytes, counter)).digest()
+    unpack = _UNPACK_256.get(width) if len(digest) == 32 else None
+    if unpack is not None:
+        return unpack(digest)
     total_bits = 8 * len(digest)
     value = int.from_bytes(digest, "big")
     mask = (1 << width) - 1
@@ -390,22 +374,21 @@ class HashCounterGenerator(Generator):
         return self._buffer.pop()
 
     def words(self, count: int) -> list[int]:
-        out = []
+        # the buffered rest of the current block first (it is stored
+        # reversed, next word last), then whole blocks; only a block cut
+        # short by ``count`` leaves words in the buffer
+        buffer = self._buffer
+        keep = max(len(buffer) - count, 0)
+        out = buffer[keep:][::-1]
+        del buffer[keep:]
         data, width, name = self.seed.data, self.width, self.hash_name
         while len(out) < count:
-            if self._buffer:
-                take = min(count - len(out), len(self._buffer))
-                out.extend(self._buffer[-1 : -take - 1 : -1])
-                del self._buffer[-take:]
-            else:
-                block = digest_words(data, self.counter, width, name)
-                self.counter += 1
-                if len(block) <= count - len(out):
-                    out.extend(block)
-                else:
-                    take = count - len(out)
-                    out.extend(block[:take])
-                    self._buffer = list(reversed(block[take:]))
+            block = digest_words(data, self.counter, width, name)
+            self.counter += 1
+            need = count - len(out)
+            out.extend(block[:need])
+            if need < len(block):
+                self._buffer = list(reversed(block[need:]))
         self.words_emitted += count
         return out
 

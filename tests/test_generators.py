@@ -232,6 +232,54 @@ class TestHashCounter:
         assert abs(mean - 128) <= 5
 
 
+class TestInterleavedCalls:
+    """words(n) and next_word() mixed in one stream, around MT's 624-word
+    state and the hash counter's digest blocks, against references that
+    share no code with the generators."""
+
+    # ("words", n) is one words(n) call, ("next", n) n next_word() calls;
+    # the words(0) after ("next", 3) sits inside a partly read block
+    STEPS = [
+        ("next", 3), ("words", 0), ("words", 1), ("words", 623), ("next", 1),
+        ("words", 624), ("words", 0), ("words", 625), ("next", 2), ("words", 1249),
+        ("words", 0), ("next", 1),
+    ]
+    TOTAL = sum(n for _, n in STEPS)
+    CLONE_AFTER = 3  # after 627 words: mid-state for MT, mid-block for every hash width but 256
+
+    def check(self, gen, reference, blocks_for=None):
+        out = []
+        for i, (call, n) in enumerate(self.STEPS):
+            out += gen.words(n) if call == "words" else [gen.next_word() for _ in range(n)]
+            assert gen.words_emitted == len(out)
+            if blocks_for:
+                assert gen.counter == blocks_for(len(out))
+            if i == self.CLONE_AFTER:
+                twin = gen.clone()
+                assert twin.words(self.TOTAL - len(out)) == reference[len(out):]
+                assert twin.words_emitted == self.TOTAL
+        assert out == reference
+
+    @pytest.mark.parametrize("seed", [0, 5489, 2 ** 32 - 1, 2 ** 32 + 5])
+    def test_mt19937_against_randomstate(self, seed):
+        np = pytest.importorskip("numpy")
+        ref = np.random.RandomState(seed % 2 ** 32).randint(0, 2 ** 32, size=self.TOTAL, dtype=np.uint64)
+        self.check(Mt19937Generator(seed), ref.tolist())
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 12, 256])
+    def test_hash_counter_against_hashlib(self, width):
+        import hashlib
+
+        per_block = 256 // width
+        reference = []
+        for counter in range(-(-self.TOTAL // per_block)):
+            digest = hashlib.sha256(b"interleave," + str(counter).encode()).digest()
+            bits = format(int.from_bytes(digest, "big"), "0256b")
+            reference += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
+        gen = HashCounterGenerator("interleave", width=width)
+        self.check(gen, reference[: self.TOTAL], lambda words: -(-words // per_block))
+
+
 class TestScripted:
     def test_emits_in_order_then_errors(self):
         g = ScriptedGenerator([3, 1, 4], width=3)

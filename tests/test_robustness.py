@@ -4,6 +4,7 @@ The CLI cases run in a subprocess with a timeout, so a regression to a
 hang fails the test instead of stalling the suite.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -177,3 +178,28 @@ def test_sample_frequency_counts_match_samplespec():
         subset = spec.run(src).as_set()
         counts[subset] = counts.get(subset, 0) + 1
     assert report.observed == {"min_cell": min(counts.values()), "max_cell": max(counts.values())}
+
+
+def test_cli_generators_run_without_numpy():
+    # importing numpy would add to every CLI run's start-up time and memory;
+    # the generators need only the standard library
+    commands = [
+        ["sample", "--prng", "mt", "--seed", "1", "--n", "1000", "--k", "5"],
+        ["sample", "--prng", "hash", "--seed", "1", "--n", "1000", "--k", "5"],
+        ["gen", "--prng", "mt", "--seed", "1", "--count", "700"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from randaudit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "sys.stderr.write(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=env,
+    )
+    assert json.loads(proc.stderr) == {"codes": [0, 0, 0], "numpy": False}
