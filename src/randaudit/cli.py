@@ -82,6 +82,15 @@ def _build_generator(args, seed_text: str):
     return seed_generator(variant, seed_text, **fields)
 
 
+def _generator_and_seed(args, allow_entropy: bool):
+    """The --scripted word file, or the --prng generator seeded by
+    _resolve_seed, with the seed text the header records."""
+    if args.scripted:
+        return load_scripted(args.scripted), f"scripted:{args.scripted}"
+    seed_text = _resolve_seed(args, allow_entropy)
+    return _build_generator(args, seed_text), seed_text
+
+
 def _header(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True)
 
@@ -90,12 +99,7 @@ def _header(config: dict) -> str:
 # gen
 
 def _cmd_gen(args) -> int:
-    if args.scripted:
-        gen = load_scripted(args.scripted)
-        seed_text = f"scripted:{args.scripted}"
-    else:
-        seed_text = _resolve_seed(args, allow_entropy=True)
-        gen = _build_generator(args, seed_text)
+    gen, seed_text = _generator_and_seed(args, allow_entropy=True)
     if args.emit == "integers" and args.int_range is None:
         raise CliError("--as integers requires --int-range")
 
@@ -132,12 +136,7 @@ def _cmd_sample(args) -> int:
     elif args.n is None:
         raise CliError(f"--algo {args.algo} needs --n")
 
-    if args.scripted:
-        gen = load_scripted(args.scripted)
-        seed_text = f"scripted:{args.scripted}"
-    else:
-        seed_text = _resolve_seed(args, allow_entropy=False)
-        gen = _build_generator(args, seed_text)
+    gen, seed_text = _generator_and_seed(args, allow_entropy=False)
     source = RandomSource(gen, method=args.method)
     spec = SampleSpec(
         n=args.n,

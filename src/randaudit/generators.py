@@ -374,6 +374,8 @@ class HashCounterGenerator(Generator):
         return self._buffer.pop()
 
     def words(self, count: int) -> list[int]:
+        if count <= 0:
+            return []
         # the buffered rest of the current block first (it is stored
         # reversed, next word last), then whole blocks; only a block cut
         # short by ``count`` leaves words in the buffer

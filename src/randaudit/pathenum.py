@@ -48,6 +48,7 @@ from fractions import Fraction
 
 # perfbench/spans.py wraps the six samplers by their names in this module
 from .sampling import (  # noqa: F401
+    ALGORITHMS,
     SampleSpec,
     ScriptedSource,
     cormen_sample,
@@ -171,7 +172,7 @@ def _distinct_draws(n, k, draw_dist):
 
 
 def _skip_cells(k: int, t: int, remaining: int):
-    """Exact skip-length cells for the sequential-search phase at state t.
+    """Exact skip-length cells for vitter_z at state t (t records seen).
 
     Yields (skip, probability, representative_v) for skip = 0..remaining-1
     plus one tail cell (skip >= remaining, probability q(remaining-1))
@@ -220,14 +221,7 @@ def _pikk_subsets(spec: SampleSpec):
     return dict(results)
 
 
-ENUMERABLE_ALGORITHMS = (
-    "pikk",
-    "fisher_yates",
-    "random_indices",
-    "cormen",
-    "reservoir_r",
-    "vitter_z",
-)
+ENUMERABLE_ALGORITHMS = tuple(ALGORITHMS)
 
 
 def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):

@@ -12,7 +12,6 @@ that parallelize must hand each worker an independently seeded generator.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ __all__ = [
     "ALGORITHMS",
     "STREAMING_ALGORITHMS",
 ]
-
-_SENTINEL = object()
 
 
 @dataclass(frozen=True)
@@ -239,59 +236,19 @@ def reservoir_r(stream, k: int, source) -> Sample:
     return _accounted(source, run)
 
 
-def _skip_x(source, k: int, t: int) -> int:
-    # inverse-CDF search: P(skip >= s+1) = prod_{i=1..s+1} (t+i-k)/(t+i)
-    v = source.fraction_nonzero()
-    s = 0
-    num = t + 1 - k
-    den = t + 1
-    quot = num / den
-    while quot > v:
-        s += 1
-        num += 1
-        den += 1
-        quot *= num / den
-    return s
+def vitter_z(stream, k: int, source) -> Sample:
+    """Reservoir sampling with random skips (Vitter 1985, Algorithm X at
+    every stream length); same output distribution as reservoir_r, but
+    one fraction and one slot draw per record kept instead of a draw per
+    record.
 
-
-def _skip_z(source, k: int, t: int, w: float) -> tuple[int, float]:
-    # rejection sampling of the skip length for large t, with the cheap
-    # squeeze test tried before the exact density evaluation; a trial is
-    # rejected with probability k/(t+1) < 1/22, so 32 rejections in a row
-    # (probability below 2**-142) mean the fractions are not uniform
-    term = t - k + 1
-    for _ in range(32):
-        u = source.fraction_nonzero()
-        x = t * (w - 1.0)
-        s = int(x)
-        lhs = math.exp(
-            math.log(((u * ((t + 1) / term) ** 2) * (term + s)) / (t + x)) / k
-        )
-        rhs = (((t + x) / (term + s)) * term) / t
-        if lhs <= rhs:
-            return s, rhs / lhs
-        y = (((u * (t + 1)) / term) * (t + s + 1)) / (t + x)
-        if k < s:
-            denom = t
-            numer_lim = term + s
-        else:
-            denom = t - k + s
-            numer_lim = t + 1
-        for numer in range(t + s, numer_lim - 1, -1):
-            y = (y * numer) / denom
-            denom -= 1
-        w = math.exp(-math.log(source.fraction_nonzero()) / k)
-        if math.exp(math.log(y) / k) <= (t + x) / t:
-            return s, w
-    raise DegenerateStreamError("32 skip lengths in a row were rejected; the fractions are not uniform")
-
-
-def vitter_z(stream, k: int, source, switch_factor: int = 22) -> Sample:
-    """Reservoir sampling with random skips; same output distribution as
-    reservoir_r but o(stream length) draw consumption.
-
-    Uses the sequential-search skip while t <= switch_factor * k, then the
-    rejection-based skip.  switch_factor=22 is the published crossover.
+    A fraction v, drawn at the first record after the last one kept,
+    decides the skip: record t is kept once the running product of
+    (i - k) / i over the records i since then falls to v or below.  Each
+    factor is the chance that reservoir_r passes record i over, so the
+    skip has reservoir_r's distribution.  The walk costs one multiply per
+    record and stops with the stream, and a stream of exactly k items
+    costs no randomness.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -301,28 +258,16 @@ def vitter_z(stream, k: int, source, switch_factor: int = 22) -> Sample:
         reservoir, short = _fill(it, k)
         if short:
             return reservoir, True
-        t = k
-        thresh = switch_factor * k
-        w = None
-        # one-item lookahead so the skip draw happens only when at least one
-        # record remains; a stream of exactly k items costs no randomness
-        pending = next(it, _SENTINEL)
-        while pending is not _SENTINEL:
-            if t <= thresh:
-                s = _skip_x(source, k, t)
+        v = None
+        for t, item in enumerate(it, start=k + 1):
+            if v is None:
+                v = source.fraction_nonzero()
+                quot = (t - k) / t
             else:
-                if w is None:
-                    w = math.exp(-math.log(source.fraction_nonzero()) / k)
-                s, w = _skip_z(source, k, t, w)
-            if s == 0:
-                item = pending
-            else:
-                item = next(itertools.islice(it, s - 1, s), _SENTINEL)
-                if item is _SENTINEL:
-                    return reservoir, False
-            reservoir[source.randint(k) - 1] = item
-            t += s + 1
-            pending = next(it, _SENTINEL)
+                quot *= (t - k) / t
+            if quot <= v:
+                reservoir[source.randint(k) - 1] = item
+                v = None
         return reservoir, False
 
     return _accounted(source, run)

@@ -8,6 +8,7 @@ from randaudit.bounds import power
 from randaudit.errors import ScriptedExhaustedError
 from randaudit.generators import (
     RANDU,
+    VARIANTS,
     HashCounterGenerator,
     LcgGenerator,
     LcgParams,
@@ -302,6 +303,17 @@ class TestScripted:
             ScriptedGenerator([8], width=3)
 
 
+# one generator per VARIANTS entry; three 12-bit hash-counter words leave
+# a partly read block in the buffer
+GENERATOR_PER_VARIANT = {
+    "lcg": lambda: LcgGenerator(RANDU, 1),
+    "wichmann_hill": lambda: WichmannHillGenerator((7, 8, 9)),
+    "mt19937": lambda: Mt19937Generator(4357),
+    "hash_counter": lambda: HashCounterGenerator("count", width=12),
+    "scripted": lambda: ScriptedGenerator(list(range(8)), width=3),
+}
+
+
 class TestDeterminismAndCloning:
     @pytest.mark.parametrize(
         "make",
@@ -316,6 +328,17 @@ class TestDeterminismAndCloning:
     def test_equal_seeds_give_equal_10k_sequences(self, make):
         a, b = make(), make()
         assert a.words(10 ** 4) == b.words(10 ** 4)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_nonpositive_count_changes_nothing(self, variant):
+        g = GENERATOR_PER_VARIANT[variant]()
+        g.words(3)
+        ref = g.clone()
+        for count in (0, -1, -5):
+            assert g.words(count) == []
+        assert g.words_emitted == ref.words_emitted == 3
+        assert getattr(g, "counter", None) == getattr(ref, "counter", None)
+        assert g.words(5) == ref.words(5)
 
     def test_clone_advances_independently(self):
         g = Mt19937Generator(1)

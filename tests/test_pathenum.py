@@ -5,10 +5,12 @@ import pytest
 from randaudit.integers import exact_distribution
 from randaudit.pathenum import (
     ENUMERABLE_ALGORITHMS,
+    _skip_cells,
     exact_permutation_distribution,
     exact_subset_distribution,
     uniform_subset_reference,
 )
+from randaudit.sampling import ScriptedSource, vitter_z
 
 
 @pytest.mark.parametrize("algorithm", ENUMERABLE_ALGORITHMS)
@@ -65,3 +67,24 @@ def test_draw_dist_rejected_where_meaningless():
         exact_subset_distribution("pikk", 4, 2, draw_dist=lambda m: {})
     with pytest.raises(ValueError):
         exact_subset_distribution("vitter_z", 4, 2, draw_dist=lambda m: {})
+
+
+def test_vitter_z_follows_skip_cells_on_long_streams():
+    # k=2 over 2,000 records: the cell representatives for skip 200 from
+    # t=2 and skip 37 from t=203 keep records 203 and 241, and the tail
+    # cell from t=241 walks off the end; long skips use the same rule
+    k, length = 2, 2000
+
+    def representative(t, skip=None):
+        cells = list(_skip_cells(k, t, length - t))
+        return cells[-1][2] if skip is None else cells[skip][2]
+
+    src = ScriptedSource(
+        ints=[1, 2],
+        fractions=[representative(2, 200), representative(203, 37), representative(241)],
+    )
+    sample = vitter_z(range(1, length + 1), k, src)
+    assert sample.items == (203, 241)
+    assert sample.draws == 2
+    with pytest.raises(IndexError):
+        src.fraction()  # every scripted fraction was used

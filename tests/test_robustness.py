@@ -16,7 +16,7 @@ from randaudit import audit
 from randaudit.errors import DegenerateStreamError, InfeasibleSizeError
 from randaudit.generators import HashCounterGenerator, LcgGenerator, LcgParams, ScriptedGenerator
 from randaudit.integers import MAX_REJECTIONS, RandomSource, randint_mask
-from randaudit.sampling import ALGORITHMS, SampleSpec, random_indices, vitter_z
+from randaudit.sampling import ALGORITHMS, SampleSpec, random_indices
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -52,13 +52,27 @@ CONSTANT_LCG = ("--prng", "lcg", "--a", "1", "--c", "0", "--m", "256")
         # word 7: every draw is the same index, so random_indices sees duplicates
         ("sample", *CONSTANT_LCG, "--seed", "7", "--n", "5", "--k", "2"),
         ("sample", *CONSTANT_LCG, "--seed", "255", "--n", "5", "--k", "2", "--method", "floor"),
-        # a constant fraction past the Z-phase threshold: every skip is rejected
-        ("sample", *CONSTANT_LCG, "--seed", "255", "--algo", "vitter-z", "--n", "100000",
-         "--k", "2", "--method", "floor"),
     ],
 )
 def test_degenerate_generator_exits_2(argv):
     assert_one_line_error(run_cli(*argv), 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the constant fraction 255/256 keeps about 3,000 of 10**5 records
+        ("sample", *CONSTANT_LCG, "--seed", "255", "--algo", "vitter-z", "--n", "100000",
+         "--k", "2", "--method", "floor"),
+        # a constant fraction near 2**-32 asks for a skip of about 2**32
+        # records; the walk stops with the 100-record stream
+        ("sample", "--prng", "lcg", "--a", "1", "--c", "0", "--m", "4294967296", "--seed", "1",
+         "--algo", "vitter-z", "--n", "100", "--k", "1"),
+    ],
+)
+def test_degenerate_fractions_finish_vitter_z(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -112,11 +126,6 @@ class TestRedrawLimits:
             random_indices(src, 5, 2)
         # the first draw, then 90 * n duplicates
         assert src.draws == 1 + 90 * 5
-
-    def test_z_phase_rejections(self):
-        src = RandomSource(LcgGenerator(LcgParams(m=256, a=1, c=0), 255))
-        with pytest.raises(DegenerateStreamError):
-            vitter_z(range(1, 1001), 2, src)
 
 
 class TestInputChecks:

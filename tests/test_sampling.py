@@ -172,8 +172,8 @@ class TestVitterZ:
             assert abs(counts[item] / runs - 0.4) < 0.01
 
     def test_inclusion_probability_beyond_skip_threshold(self):
-        # stream of 100 with k=2 crosses the switch at t=44, so the
-        # rejection-based skips are exercised
+        # stream of 100 with k=2: 98 records past the reservoir, so skips
+        # run long and the float product of (t - k) / t is exercised
         src = hash_source("vz-z-phase")
         runs = 2 * 10 ** 4
         length = 100
@@ -186,9 +186,9 @@ class TestVitterZ:
             assert abs(counts[item] / runs - p) < bound, item
 
     def test_z_phase_skip_distribution_chi_square(self):
-        # k=1 pushes every selection after t=22 through the rejection-based
-        # skip sampler; uniform inclusion across all 150 positions checks
-        # the whole skip chain, not just the average rate
+        # k=1 makes every selection after the first a skip; uniform
+        # inclusion across all 150 positions checks the whole skip chain,
+        # not just the average rate
         from scipy.stats import chisquare
 
         src = hash_source("zphase-probe")
