@@ -17,13 +17,18 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import eq
 
 from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
-from .integers import RandomSource, floor_even_probability, floor_value_scaled, randint_mask
-# perfbench/spans.py wraps random_indices and reservoir_r by their names in this module
-from .sampling import SampleSpec, fisher_yates, random_indices, reservoir_r  # noqa: F401
+from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value_scaled
+from .sampling import SampleSpec, fisher_yates, shuffles
+
+# perfbench/spans.py wraps these by their names in this module
+from .integers import randint_mask  # noqa: F401
+from .sampling import random_indices, reservoir_r  # noqa: F401
 
 __all__ = [
     "MURDOCH_M",
@@ -224,16 +229,16 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     even = 0
     if method == "floor":
         reference = floor_even_probability(32, num, den)
-        remaining = replications
-        while remaining:
-            chunk = min(remaining, 1 << 18)
-            odd = sum([floor_value_scaled(word, 32, num, den) % 2 for word in gen.words(chunk)])
-            even += chunk - odd
-            remaining -= chunk
     else:
         reference = Fraction(MURDOCH_M // 2, MURDOCH_M)
-        for _ in range(replications):
-            even += 1 - randint_mask(gen, MURDOCH_M) % 2
+        randints = RandomSource(gen).randints
+    for done in range(0, replications, DRAW_CHUNK):
+        chunk = min(DRAW_CHUNK, replications - done)
+        if method == "floor":
+            odd = sum([floor_value_scaled(word, 32, num, den) % 2 for word in gen.words(chunk)])
+        else:
+            odd = sum([v % 2 for v in randints(repeat(MURDOCH_M, chunk))])
+        even += chunk - odd
     duration = time.perf_counter() - t0
 
     p_even = even / replications
@@ -330,12 +335,10 @@ def derangement_test(
     _check_alpha(alpha)
 
     t0 = time.perf_counter()
-    src = RandomSource(gen)
+    identity = range(1, n + 1)
     fixed_counts = [0] * (n + 1)
-    for _ in range(replications):
-        perm = fisher_yates(src, n).items
-        fixed = sum(1 for i, v in enumerate(perm, start=1) if i == v)
-        fixed_counts[fixed] += 1
+    for perm in shuffles(RandomSource(gen), n, replications):
+        fixed_counts[sum(map(eq, perm, identity))] += 1
     duration = time.perf_counter() - t0
 
     total = bounds.factorial(n)
@@ -396,12 +399,10 @@ def spearman_test(
     _check_alpha(alpha)
 
     t0 = time.perf_counter()
-    src = RandomSource(gen)
     total_rho = 0.0
-    for _ in range(replications):
-        p = fisher_yates(src, n).items
-        q = fisher_yates(src, n).items
-        total_rho += spearman_rho(p, q)
+    perms = shuffles(RandomSource(gen), n, 2 * replications)
+    for p in perms:
+        total_rho += spearman_rho(p, next(perms))
     duration = time.perf_counter() - t0
 
     mean_rho = total_rho / replications

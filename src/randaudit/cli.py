@@ -20,13 +20,14 @@ import inspect
 import json
 import os
 import sys
+from itertools import repeat
 
 from . import audit as audit_mod
 from . import bounds as bounds_mod
 from .errors import DegenerateStreamError, InfeasibleSizeError, ScriptedExhaustedError
 from .generators import LcgParams, load_scripted, load_seed, seed_generator
-# perfbench/spans.py wraps the three kernels by their names in this module
-from .integers import METHODS, RandomSource, randint_floor, randint_mask, randint_round  # noqa: F401
+# perfbench/spans.py wraps the three one-draw functions by their names in this module
+from .integers import DRAW_CHUNK, METHODS, RandomSource, randint_floor, randint_mask, randint_round  # noqa: F401
 from .sampling import ALGORITHMS, STREAMING_ALGORITHMS, SampleSpec
 
 SEED_ENV = "RANDAUDIT_SEED"
@@ -113,14 +114,17 @@ def _cmd_gen(args) -> int:
         "int_range": args.int_range if args.emit == "integers" else None,
     }
     print(_header(config))
-    randint = RandomSource(gen, method=args.method).randint
+    if args.emit == "integers":
+        randints = RandomSource(gen, method=args.method).randints
+        for done in range(0, args.count, DRAW_CHUNK):
+            values = randints(repeat(args.int_range, min(DRAW_CHUNK, args.count - done)))
+            print("\n".join(map(str, values)))
+        return 0
     for _ in range(args.count):
         if args.emit == "words":
             print(gen.next_word())
-        elif args.emit == "fractions":
-            print(repr(gen.next_fraction()))
         else:
-            print(randint(args.int_range))
+            print(repr(gen.next_fraction()))
     return 0
 
 

@@ -3,14 +3,22 @@
 Every generator is a finite-state machine that emits fixed-width unsigned
 words.  Equal construction arguments always yield equal output sequences;
 `clone()` snapshots the full state so two copies evolve identically.
+
+A generator's words come from one iterator, its ``stream``.  ``next_word``,
+``words`` and the integer kernels all read from it, and whoever reads
+words adds their number to ``words_emitted``.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count, cycle, islice, repeat
+from typing import Iterator
 
 from .errors import ScriptedExhaustedError
 
@@ -138,34 +146,66 @@ def full_period(params: LcgParams) -> bool:
 class Generator:
     """Base class for fixed-width word emitters.
 
-    Subclasses set ``width`` and implement ``next_word``.  A generator is
-    advanced by exactly one logical thread at a time; frozen states may be
-    read concurrently but no internal locking is provided.
+    Subclasses set ``width`` and ``words_emitted`` and implement
+    ``_start``, which sets ``stream`` to the words that follow the current
+    state.  ``stream`` is the generator's single source of words: a reader
+    that takes words from it directly adds their number to
+    ``words_emitted`` (the integer kernels do so once per call).  The
+    stream holds the state, never the generator itself: without that
+    reference cycle a dropped generator is freed at once, not left to the
+    cycle collector (audits drop tens of thousands per run).  A
+    generator is advanced by exactly one logical thread at a time; frozen
+    states may be read concurrently but no internal locking is provided.
     """
 
     width: int
     words_emitted: int
+    stream: Iterator[int]
+
+    def _start(self) -> None:
+        raise NotImplementedError
 
     def next_word(self) -> int:
-        raise NotImplementedError
+        word = next(self.stream)
+        self.words_emitted += 1
+        return word
 
     def next_fraction(self) -> float:
         """The next word normalized to [0, 1) as word / 2**width."""
         return self.next_word() / (1 << self.width)
 
     def words(self, count: int) -> list[int]:
-        nw = self.next_word
-        return [nw() for _ in range(count)]
+        out: list[int] = []
+        if count > 0:
+            try:
+                out.extend(islice(self.stream, count))
+            finally:
+                self.words_emitted += len(out)
+        return out
 
     def clone(self) -> "Generator":
-        import copy
-
-        return copy.deepcopy(self)
+        """An independent copy at the same position: the state is copied
+        and the copy's stream rebuilt from it."""
+        twin = object.__new__(type(self))
+        state = {key: value for key, value in vars(self).items() if key != "stream"}
+        twin.__dict__.update(copy.deepcopy(state))
+        twin._start()
+        return twin
 
     def spec(self) -> dict:
         """Construction record sufficient to rebuild this generator from
         scratch (initial seed, not the current registers)."""
         raise NotImplementedError
+
+
+def _lcg_words(p: LcgParams, x: list[int]):
+    """The words that follow register x[0], kept in x[0] as they go."""
+    a, c, m = p.a, p.c, p.m
+    r = x[0]
+    while True:
+        r = (a * r + c) % m
+        x[0] = r
+        yield r
 
 
 class LcgGenerator(Generator):
@@ -177,18 +217,16 @@ class LcgGenerator(Generator):
         self.params = params
         self.width = params.width
         self._seed = seed
-        self._x = seed
+        self._x = [seed]  # the register, shared with the stream
         self.words_emitted = 0
+        self._start()
 
     @property
     def register(self) -> int:
-        return self._x
+        return self._x[0]
 
-    def next_word(self) -> int:
-        p = self.params
-        self._x = (p.a * self._x + p.c) % p.m
-        self.words_emitted += 1
-        return self._x
+    def _start(self) -> None:
+        self.stream = _lcg_words(self.params, self._x)
 
     def spec(self) -> dict:
         p = self.params
@@ -198,6 +236,21 @@ class LcgGenerator(Generator):
 WH_MODULI = (30269, 30307, 30323)
 WH_MULTIPLIERS = (171, 172, 170)
 _WH_D = WH_MODULI[0] * WH_MODULI[1] * WH_MODULI[2]
+
+
+def _wh_advance(s: list[int]) -> int:
+    """Advance the registers s and return the output as an exact
+    numerator over the product of the three moduli."""
+    for i in range(3):
+        s[i] = WH_MULTIPLIERS[i] * s[i] % WH_MODULI[i]
+    m1, m2, m3 = WH_MODULI
+    return (s[0] * m2 * m3 + s[1] * m1 * m3 + s[2] * m1 * m2) % _WH_D
+
+
+def _wh_words(s: list[int]):
+    while True:
+        # exact integer floor; no float rounding in the discretization
+        yield _wh_advance(s) * (1 << 32) // _WH_D
 
 
 class WichmannHillGenerator(Generator):
@@ -225,28 +278,18 @@ class WichmannHillGenerator(Generator):
         self._seed = seed if isinstance(seed, int) else triple
         self._s = list(triple)
         self.words_emitted = 0
+        self._start()
 
     @property
     def registers(self) -> tuple[int, int, int]:
         return tuple(self._s)
 
-    def _advance(self) -> int:
-        """Advance and return the output as an exact numerator over the
-        product of the three moduli."""
-        s = self._s
-        for i in range(3):
-            s[i] = WH_MULTIPLIERS[i] * s[i] % WH_MODULI[i]
-        m1, m2, m3 = WH_MODULI
-        num = (s[0] * m2 * m3 + s[1] * m1 * m3 + s[2] * m1 * m2) % _WH_D
-        self.words_emitted += 1
-        return num
+    def _start(self) -> None:
+        self.stream = _wh_words(self._s)
 
     def next_fraction(self) -> float:
-        return self._advance() / _WH_D
-
-    def next_word(self) -> int:
-        # exact integer floor; no float rounding in the discretization
-        return self._advance() * (1 << 32) // _WH_D
+        self.words_emitted += 1
+        return _wh_advance(self._s) / _WH_D
 
     def spec(self) -> dict:
         seed = self._seed if isinstance(self._seed, int) else list(self._seed)
@@ -262,7 +305,8 @@ class Mt19937Generator(Generator):
     The initialization runs here; the twist and the tempering are CPython's
     C implementation of the same reference algorithm, a private
     ``random.Random`` loaded with the initialized state, whose
-    ``getrandbits(32)`` is the tempered word.
+    ``getrandbits(32)`` is the tempered word.  The stream calls it once
+    per word; ``words(n)`` reads n words from the same state at once.
     """
 
     width = 32
@@ -279,10 +323,11 @@ class Mt19937Generator(Generator):
         self._rng = random.Random()
         self._rng.setstate((3, (*mt, 624), None))
         self.words_emitted = 0
+        self._start()
 
-    def next_word(self) -> int:
-        self.words_emitted += 1
-        return self._rng.getrandbits(32)
+    def _start(self) -> None:
+        # getrandbits never returns the sentinel -1, so the stream is endless
+        self.stream = iter(partial(self._rng.getrandbits, 32), -1)
 
     def words(self, count: int) -> list[int]:
         # getrandbits(32 * count) fills its result with consecutive words,
@@ -329,11 +374,12 @@ def digest_words(
 class HashCounterGenerator(Generator):
     """Counter-mode PRNG over a 256-bit cryptographic hash.
 
-    State is the seed string S plus a counter i starting at 0.  Output
-    block i is Hash(S + "," + str(i)); S is UTF-8 text, the separator a
-    single ASCII comma, and i unpadded ASCII decimal.  The default hash is
-    SHA-256; any hashlib algorithm with a 32-byte digest may be swapped in
-    at construction.  Output depends only on (S, i), never on query order.
+    State is the seed string S plus the number of words emitted.  Output
+    block i, floor(256 / width) words, is Hash(S + "," + str(i)); S is
+    UTF-8 text, the separator a single ASCII comma, and i unpadded ASCII
+    decimal.  The default hash is SHA-256; any hashlib algorithm with a
+    32-byte digest may be swapped in at construction.  Output depends only
+    on (S, i), never on query order.
     """
 
     def __init__(
@@ -359,40 +405,23 @@ class HashCounterGenerator(Generator):
         self.seed = seed_obj
         self.width = width
         self.hash_name = hash_name
-        self.counter = 0
-        self._buffer: list[int] = []
         self.words_emitted = 0
+        self._start()
 
-    def next_word(self) -> int:
-        if not self._buffer:
-            block = digest_words(
-                self.seed.data, self.counter, self.width, self.hash_name
-            )
-            self._buffer = list(reversed(block))
-            self.counter += 1
-        self.words_emitted += 1
-        return self._buffer.pop()
+    @property
+    def counter(self) -> int:
+        """Blocks hashed so far: the next block's counter value."""
+        return -(-self.words_emitted // (256 // self.width))
 
-    def words(self, count: int) -> list[int]:
-        if count <= 0:
-            return []
-        # the buffered rest of the current block first (it is stored
-        # reversed, next word last), then whole blocks; only a block cut
-        # short by ``count`` leaves words in the buffer
-        buffer = self._buffer
-        keep = max(len(buffer) - count, 0)
-        out = buffer[keep:][::-1]
-        del buffer[keep:]
-        data, width, name = self.seed.data, self.width, self.hash_name
-        while len(out) < count:
-            block = digest_words(data, self.counter, width, name)
-            self.counter += 1
-            need = count - len(out)
-            out.extend(block[:need])
-            if need < len(block):
-                self._buffer = list(reversed(block[need:]))
-        self.words_emitted += count
-        return out
+    def _start(self) -> None:
+        # the blocks from the one holding word ``words_emitted`` on, that
+        # block cut to its unread words
+        first, offset = divmod(self.words_emitted, 256 // self.width)
+        block = partial(digest_words, self.seed.data, width=self.width, hash_name=self.hash_name)
+        blocks = map(block, count(first))
+        if offset:
+            blocks = chain([next(blocks)[offset:]], blocks)
+        self.stream = chain.from_iterable(blocks)
 
     def spec(self) -> dict:
         return {
@@ -401,6 +430,10 @@ class HashCounterGenerator(Generator):
             "width": self.width,
             "hash": self.hash_name,
         }
+
+
+def _exhausted(total: int):
+    raise ScriptedExhaustedError(f"scripted source exhausted after {total} words")
 
 
 class ScriptedGenerator(Generator):
@@ -420,24 +453,21 @@ class ScriptedGenerator(Generator):
         self.script = list(script)
         self.width = width
         self.cycles = cycles
-        self._pos = 0
         self.words_emitted = 0
+        self._start()
 
-    def next_word(self) -> int:
-        n = len(self.script)
-        if n == 0 or (self.cycles is not None and self._pos >= n * self.cycles):
-            raise ScriptedExhaustedError(
-                f"scripted source exhausted after {self._pos} words"
-            )
-        word = self.script[self._pos % n]
-        self._pos += 1
-        self.words_emitted += 1
-        return word
+    def _start(self) -> None:
+        script = self.script
+        words = cycle(script) if self.cycles is None else chain.from_iterable(repeat(script, self.cycles))
+        # past the end, every read raises
+        total = len(script) * (self.cycles or 0)
+        exhausted = iter(partial(_exhausted, total), None)
+        self.stream = chain(islice(words, self.words_emitted, None), exhausted)
 
     def remaining(self) -> int | None:
         if self.cycles is None:
             return None
-        return len(self.script) * self.cycles - self._pos
+        return len(self.script) * self.cycles - self.words_emitted
 
     def spec(self) -> dict:
         return {

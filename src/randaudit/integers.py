@@ -5,6 +5,22 @@ round-to-nearest methods, which are deliberately biased and exist to
 demonstrate that bias, and mask-and-reject, which is exactly uniform
 whenever the input bits are IID uniform.  All kernels use integer
 arithmetic only, so results are identical on every platform.
+
+The unit of drawing is a range sequence.  ``KERNELS[method](gen, ranges)``
+draws one integer on {1..m} for each m of ``ranges``, reading words from
+the generator's ``stream`` iterator and adding the number read to
+``gen.words_emitted`` once, when the call returns or raises.  A range
+below 1 raises ValueError before any word is read for it.  Batching does
+not change the stream: floor and round read one word per draw, and mask
+discards the leftover bits of its last word at every range boundary, so
+a sequence reads exactly the words its ranges would read one call at a
+time.
+
+Samplers draw through a draw source.  The protocol is three methods:
+``randints(ranges)`` (a list, one draw per range), ``randint(m)`` (its
+one-range case) and ``fraction()`` (word / 2**width).  RandomSource
+implements it over a generator; sampling.ScriptedSource and
+pathenum._Replay implement it over scripted outcomes.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ from .errors import DegenerateStreamError, InfeasibleSizeError, UnreachableValue
 from .generators import Generator
 
 __all__ = [
+    "DRAW_CHUNK",
     "KERNELS",
     "METHODS",
     "floor_value",
@@ -36,6 +53,10 @@ __all__ = [
 ]
 
 MAX_EXACT_WIDTH = 24
+
+# Ranges per randints call where a caller draws a long or open-ended
+# sequence in chunks; bounds the draws held at once.
+DRAW_CHUNK = 4096
 
 # Each candidate of a mask draw is rejected with probability below 1/2, so
 # IID uniform bits reject this many in a row with probability below 2**-64.
@@ -82,25 +103,124 @@ def floor_value_float(word: int, width: int, m: float) -> int:
     return 1 + math.floor(m * (word / (1 << width)))
 
 
-def _warn_unreachable(m: int, width: int) -> None:
-    if m > (1 << width):
-        warnings.warn(
-            f"m={m} exceeds the word range 2**{width}; at least {m - (1 << width)} "
-            "values can never be produced",
-            UnreachableValuesWarning,
-            stacklevel=3,
-        )
+def mask_bits(m: int) -> int:
+    """Bits needed to represent m - 1 (0 for the degenerate m = 1)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return (m - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
-# Drawing from a generator
+# Drawing range sequences from a generator's stream
+
+def _warn_unreachable(m: int, width: int) -> None:
+    # stack: 1 here, 2 the kernel, 3 randint/randints/randint_*, 4 their caller
+    warnings.warn(
+        f"m={m} exceeds the word range 2**{width}; at least {m - (1 << width)} "
+        "values can never be produced",
+        UnreachableValuesWarning,
+        stacklevel=4,
+    )
+
+
+def _one_word_kernel(value):
+    """A kernel mapping one word to each range's draw by value(word, width, m)."""
+
+    def kernel(gen: Generator, ranges) -> list[int]:
+        w = gen.width
+        limit = 1 << w
+        read = gen.stream.__next__
+        out: list[int] = []
+        append = out.append
+        warned = False
+        try:
+            for m in ranges:
+                if not 0 < m <= limit:
+                    if m < 1:
+                        raise ValueError("m must be >= 1")
+                    if not warned:  # once per call
+                        _warn_unreachable(m, w)
+                        warned = True
+                append(value(read(), w, m))
+        finally:
+            # one word per draw
+            gen.words_emitted += len(out)
+        return out
+
+    return kernel
+
+
+def _mask_kernel(gen: Generator, ranges) -> list[int]:
+    """Mask-and-reject draws on {1..m} for each m of ``ranges``.
+
+    A draw takes mu = mask_bits(m) bits at a time, most significant first,
+    and rejects candidates above m - 1.  Leftover bits of a word are kept
+    for the next candidate within the draw but discarded when the draw
+    ends, so each draw's word consumption depends only on (m, stream), and
+    drawing a sequence reads the same words as drawing its ranges one call
+    at a time.  Raises DegenerateStreamError after MAX_REJECTIONS rejected
+    candidates in a row.
+    """
+    w = gen.width
+    read = gen.stream.__next__
+    out: list[int] = []
+    append = out.append
+    words = 0
+    try:
+        for m in ranges:
+            if m < 2:
+                if m < 1:
+                    raise ValueError("m must be >= 1")
+                append(1)
+                continue
+            mu = (m - 1).bit_length()
+            bits = w - mu
+            if bits >= 0:
+                # the first candidate is the top mu bits of a fresh word
+                pool = read()
+                words += 1
+                r = pool >> bits
+                if r < m:
+                    append(r + 1)
+                    continue
+                pool &= (1 << bits) - 1
+                rejected = 1
+            else:
+                pool = bits = rejected = 0
+            while True:
+                while bits < mu:
+                    pool = (pool << w) | read()
+                    words += 1
+                    bits += w
+                bits -= mu
+                r = pool >> bits
+                if r < m:
+                    append(r + 1)
+                    break
+                pool &= (1 << bits) - 1
+                rejected += 1
+                if rejected == MAX_REJECTIONS:
+                    raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
+    finally:
+        gen.words_emitted += words
+    return out
+
+
+# method -> kernel(gen, ranges): one draw on {1..m} for each m of ranges,
+# read from gen.stream; words_emitted is settled once per call, also when
+# a draw raises
+KERNELS = {
+    "floor": _one_word_kernel(floor_value),
+    # the raw round kernel reaches 0; sampling sends that bucket to 1
+    "round": _one_word_kernel(lambda word, width, m: round_value_raw(word, width, m) or 1),
+    "mask": _mask_kernel,
+}
+METHODS = tuple(KERNELS)
+
 
 def randint_floor(gen: Generator, m: int) -> int:
     """One floor-method draw on {1..m}; consumes exactly one word."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _warn_unreachable(m, gen.width)
-    return floor_value(gen.next_word(), gen.width, m)
+    return KERNELS["floor"](gen, (m,))[0]
 
 
 def randint_round(gen: Generator, m: int) -> int:
@@ -109,54 +229,13 @@ def randint_round(gen: Generator, m: int) -> int:
     The raw kernel maps to {0..m}; this sampling-facing wrapper sends the
     0 bucket to 1.  Use exact_distribution to see the unclamped bias.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _warn_unreachable(m, gen.width)
-    return max(1, round_value_raw(gen.next_word(), gen.width, m))
-
-
-def mask_bits(m: int) -> int:
-    """Bits needed to represent m - 1 (0 for the degenerate m = 1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return (m - 1).bit_length()
+    return KERNELS["round"](gen, (m,))[0]
 
 
 def randint_mask(gen: Generator, m: int) -> int:
-    """One mask-and-reject draw on {1..m}: exactly uniform for uniform bits.
-
-    Takes mu = mask_bits(m) bits at a time, most significant first, and
-    rejects candidates above m - 1.  Leftover bits of a word are kept for
-    the next candidate within this call but discarded when the call
-    returns, so each call's word consumption depends only on (m, stream).
-    Raises DegenerateStreamError after MAX_REJECTIONS rejected candidates
-    in a row.
-    """
-    mu = mask_bits(m)
-    if mu == 0:
-        return 1
-    w = gen.width
-    pool = 0
-    bits = 0
-    rejected = 0
-    while True:
-        while bits < mu:
-            pool = (pool << w) | gen.next_word()
-            bits += w
-        shift = bits - mu
-        r = pool >> shift
-        pool &= (1 << shift) - 1
-        bits = shift
-        if r < m:
-            return r + 1
-        rejected += 1
-        if rejected == MAX_REJECTIONS:
-            raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
-
-
-# method -> the kernel drawing one integer on {1..m} from a generator
-KERNELS = {"floor": randint_floor, "round": randint_round, "mask": randint_mask}
-METHODS = tuple(KERNELS)
+    """One mask-and-reject draw on {1..m}: exactly uniform for uniform bits
+    (see the mask kernel, KERNELS["mask"])."""
+    return KERNELS["mask"](gen, (m,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +370,44 @@ class RandomSource:
     methods must be opted into explicitly to reproduce flawed behavior.
     Tracks the number of integer draws; word usage is read off the
     underlying generator.
+
+    This is the draw-source protocol the samplers use: ``randints(ranges)``
+    draws on {1..m} for each m of a sequence in one call, ``randint(m)`` is
+    its one-range case, and ``fraction()`` gives word / 2**width.
     """
 
     def __init__(self, gen: Generator, method: str = "mask"):
         if method not in KERNELS:
             raise ValueError(f"unknown method {method!r}")
-        self._draw = KERNELS[method]
+        self._kernel = KERNELS[method]
         self.gen = gen
         self.method = method
         self.draws = 0
 
+    def randints(self, ranges) -> list[int]:
+        out = self._kernel(self.gen, ranges)
+        self.draws += len(out)
+        return out
+
     def randint(self, m: int) -> int:
+        # calls the kernel itself rather than randints, so that a warning
+        # points at the caller from the same stack depth as for randints
+        out = self._kernel(self.gen, (m,))
         self.draws += 1
-        return self._draw(self.gen, m)
+        return out[0]
 
     def fraction(self) -> float:
         return self.gen.next_fraction()
 
     def fraction_nonzero(self) -> float:
-        """A fraction in (0, 1); redraws on an exact 0 word so that skip
-        computations involving log(v) stay finite.
+        """A fraction in (0, 1): an exact 0 word is redrawn.
 
-        IID uniform w-bit words are 0 with probability 2**-w, so more than
-        64 // w + 1 zeros in a row (probability below 2**-64) raise
-        DegenerateStreamError.
+        vitter_z draws its skip fractions here.  Its skip walk takes no
+        logarithm, so the redraw guards no arithmetic; it keeps vitter_z's
+        stream as it is (v = 0 would keep no further record, a redrawn v
+        does).  IID uniform w-bit words are 0 with
+        probability 2**-w, so more than 64 // w + 1 zeros in a row
+        (probability below 2**-64) raise DegenerateStreamError.
         """
         limit = 64 // self.gen.width + 1
         for _ in range(limit):

@@ -84,15 +84,26 @@ class _Replay:
         self._pos = 0
         self.draws = 0
 
+    def randints(self, ranges) -> list[int]:
+        """The scripted values for ``ranges``; raises _NeedDraw at the first
+        range past the end of the script."""
+        script, pos, out = self._script, self._pos, []
+        try:
+            for m in ranges:
+                if pos == len(script):
+                    raise _NeedDraw(m)
+                kind, value, m_recorded = script[pos]
+                if kind != "i" or m_recorded != m:
+                    raise AssertionError("replay diverged from recorded draw sequence")
+                out.append(value)
+                pos += 1
+        finally:
+            self.draws += pos - self._pos
+            self._pos = pos
+        return out
+
     def randint(self, m: int) -> int:
-        if self._pos >= len(self._script):
-            raise _NeedDraw(m)
-        kind, value, m_recorded = self._script[self._pos]
-        if kind != "i" or m_recorded != m:
-            raise AssertionError("replay diverged from recorded draw sequence")
-        self._pos += 1
-        self.draws += 1
-        return value
+        return self.randints((m,))[0]
 
     def fraction(self) -> float:
         if self._pos >= len(self._script):

@@ -1,9 +1,11 @@
 """Sampling and permutation algorithms over a draw source.
 
-Every algorithm takes a RandomSource (or any object with the same small
-draw API) so the generator and integer method are chosen by the caller.
-Integer draws default to mask-reject through RandomSource; the biased
-methods are an explicit opt-in there.
+Every algorithm takes a draw source, a RandomSource or any object with
+the same small protocol (``randints``, ``randint``, ``fraction``; see the
+integers module), so the generator and integer method are chosen by the
+caller.  Integer draws default to mask-reject through RandomSource; the
+biased methods are an explicit opt-in there.  Samplers that know their
+ranges ahead draw them with one ``randints`` call.
 
 Each run is strictly sequential over its one draw source; experiments
 that parallelize must hand each worker an independently seeded generator.
@@ -11,11 +13,12 @@ that parallelize must hand each worker an independently seeded generator.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .errors import DegenerateStreamError, ShortStreamWarning
+from .integers import DRAW_CHUNK
 
 __all__ = [
     "Sample",
@@ -23,6 +26,7 @@ __all__ = [
     "ScriptedSource",
     "pikk",
     "fisher_yates",
+    "shuffles",
     "random_indices",
     "cormen_sample",
     "reservoir_r",
@@ -56,9 +60,9 @@ class Sample:
 class ScriptedSource:
     """Draw source with pre-decided outcomes, for traced tests and demos.
 
-    randint pops from ``ints`` (each value is checked against the requested
-    range); fraction pops from ``fractions``.  Word accounting is zero since
-    no generator sits underneath.
+    randints pops one value from ``ints`` per range (each value is checked
+    against its range); fraction pops from ``fractions``.  Word accounting
+    is zero since no generator sits underneath.
     """
 
     def __init__(self, ints=(), fractions=()):
@@ -66,14 +70,20 @@ class ScriptedSource:
         self._fracs = list(fractions)
         self.draws = 0
 
+    def randints(self, ranges) -> list[int]:
+        out = []
+        for m in ranges:
+            if not self._ints:
+                raise IndexError("scripted integer draws exhausted")
+            v = self._ints.pop(0)
+            if not 1 <= v <= m:
+                raise ValueError(f"scripted draw {v} outside 1..{m}")
+            self.draws += 1
+            out.append(v)
+        return out
+
     def randint(self, m: int) -> int:
-        if not self._ints:
-            raise IndexError("scripted integer draws exhausted")
-        v = self._ints.pop(0)
-        if not 1 <= v <= m:
-            raise ValueError(f"scripted draw {v} outside 1..{m}")
-        self.draws += 1
-        return v
+        return self.randints((m,))[0]
 
     def fraction(self) -> float:
         if not self._fracs:
@@ -123,19 +133,46 @@ def pikk(source, n: int, k: int) -> Sample:
     return _accounted(source, run)
 
 
-def fisher_yates(source, n: int) -> Sample:
-    """In-place shuffle of (1..n): for i from n-1 down to 1 swap position i
-    with a uniform position j in {0..i}.  Consumes exactly n-1 integer
-    draws and no sort."""
+def shuffles(source, n: int, count: int):
+    """Yield ``count`` shuffles of [1..n], each a new list.
+
+    Each shuffle is Fisher-Yates: for i from n-1 down to 1 swap position i
+    with a uniform position j in {0..i}, n-1 integer draws and no sort.
+    All the draws are made in the order single shuffles would make them:
+    in one randints call when there are at most DRAW_CHUNK of them, else
+    DRAW_CHUNK per call, each chunk when the shuffle being built first
+    needs it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count * (n - 1) <= DRAW_CHUNK:
+        draws = iter(source.randints(list(range(n, 1, -1)) * count))
+    else:
+        ranges = chain.from_iterable(repeat(range(n, 1, -1), count))
+        chunks = iter(lambda: list(islice(ranges, DRAW_CHUNK)), [])
+        draws = chain.from_iterable(map(source.randints, chunks))
+    positions = range(n - 1, 0, -1)
+    identity = list(range(1, n + 1))
+    for _ in range(count):
+        a = identity[:]
+        # zip stops at the end of positions before taking another draw
+        for i, j in zip(positions, draws):
+            a[i], a[j - 1] = a[j - 1], a[i]
+        yield a
+
+
+def fisher_yates(source, n: int) -> Sample:
+    """In-place shuffle of (1..n), the one-shuffle case of ``shuffles``.
+    Consumes exactly n-1 integer draws and no sort."""
+    return _shuffle_prefix(source, n, n)
+
+
+def _shuffle_prefix(source, n: int, k: int) -> Sample:
+    """The first k items of one shuffle of (1..n)."""
 
     def run():
-        a = list(range(1, n + 1))
-        for i in range(n - 1, 0, -1):
-            j = source.randint(i + 1) - 1
-            a[i], a[j] = a[j], a[i]
-        return a, False
+        [shuffle] = shuffles(source, n, 1)
+        return shuffle[:k], False
 
     return _accounted(source, run)
 
@@ -155,20 +192,22 @@ def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sa
 
     def run():
         if with_replacement:
-            return [source.randint(n) for _ in range(k)], False
+            return source.randints(repeat(n, k)), False
         seen: set[int] = set()
         picks: list[int] = []
         duplicates = 0
+        # k - len(picks) more draws are needed whatever they turn out to
+        # be, so drawing that many at once reads the stream draw by draw
         while len(picks) < k:
-            v = source.randint(n)
-            if v not in seen:
-                seen.add(v)
-                picks.append(v)
-                duplicates = 0
-                continue
-            duplicates += 1
-            if duplicates == 90 * n:
-                raise DegenerateStreamError(f"{duplicates} duplicate draws in a row")
+            for v in source.randints(repeat(n, k - len(picks))):
+                if v not in seen:
+                    seen.add(v)
+                    picks.append(v)
+                    duplicates = 0
+                    continue
+                duplicates += 1
+                if duplicates == 90 * n:
+                    raise DegenerateStreamError(f"{duplicates} duplicate draws in a row")
         return picks, False
 
     return _accounted(source, run)
@@ -187,8 +226,8 @@ def cormen_sample(source, n: int, k: int) -> Sample:
     def run():
         chosen: set[int] = set()
         order: list[int] = []
-        for j in range(n - k + 1, n + 1):
-            i = source.randint(j)
+        sizes = range(n - k + 1, n + 1)
+        for j, i in zip(sizes, source.randints(sizes)):
             pick = j if i in chosen else i
             chosen.add(pick)
             order.append(pick)
@@ -203,7 +242,7 @@ def cormen_sample(source, n: int, k: int) -> Sample:
 def _fill(it, k: int) -> tuple[list, bool]:
     """The first k items of the iterator, and whether (with a warning) the
     stream ended sooner."""
-    reservoir = list(itertools.islice(it, k))
+    reservoir = list(islice(it, k))
     short = len(reservoir) < k
     if short:
         warnings.warn(
@@ -218,7 +257,9 @@ def reservoir_r(stream, k: int, source) -> Sample:
     """Single-pass reservoir sampling: item t > k replaces a uniform slot
     with probability k/t (draw j on {1..t}, replace slot j if j <= k).
 
-    A stream shorter than k yields the whole stream with short=True."""
+    Records are read DRAW_CHUNK at a time and their draws made in one
+    call; only records actually read are drawn for.  A stream shorter than
+    k yields the whole stream with short=True."""
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -227,10 +268,12 @@ def reservoir_r(stream, k: int, source) -> Sample:
         reservoir, short = _fill(it, k)
         if short:
             return reservoir, True
-        for t, item in enumerate(it, start=k + 1):
-            j = source.randint(t)
-            if j <= k:
-                reservoir[j - 1] = item
+        t = k
+        while chunk := list(islice(it, DRAW_CHUNK)):
+            for item, j in zip(chunk, source.randints(range(t + 1, t + 1 + len(chunk)))):
+                if j <= k:
+                    reservoir[j - 1] = item
+            t += len(chunk)
         return reservoir, False
 
     return _accounted(source, run)
@@ -271,11 +314,6 @@ def vitter_z(stream, k: int, source) -> Sample:
         return reservoir, False
 
     return _accounted(source, run)
-
-
-def _shuffle_prefix(source, n: int, k: int) -> Sample:
-    full = fisher_yates(source, n)
-    return Sample(items=full.items[:k], words=full.words, draws=full.draws, bits=full.bits)
 
 
 # tag -> draw(spec, source, stream): one sample for a validated SampleSpec

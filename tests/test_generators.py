@@ -197,7 +197,7 @@ class TestHashCounter:
         assert list(direct) == streamed
 
     def test_batch_words_equal_repeated_next_word(self):
-        # start mid-buffer so the batch spans digest-block boundaries
+        # start mid-block so the batch spans digest-block boundaries
         a = HashCounterGenerator("batch")
         first = a.next_word()
         rest = a.words(21)
@@ -281,6 +281,49 @@ class TestInterleavedCalls:
         self.check(gen, reference[: self.TOTAL], lambda words: -(-words // per_block))
 
 
+class TestCursor:
+    """The hash counter's position is words_emitted alone: counter and
+    clone() are derived from it at every offset."""
+
+    @pytest.mark.parametrize(
+        "width, hash_name",
+        [(8, "sha256"), (12, "sha256"), (32, "sha256"), (64, "sha256"), (32, "sha3_256")],
+    )
+    def test_counter_and_clone_at_every_offset(self, width, hash_name):
+        import hashlib
+
+        per_block = 256 // width
+        reference = []
+        for counter in range(5):
+            digest = hashlib.new(hash_name, b"cursor," + str(counter).encode()).digest()
+            bits = format(int.from_bytes(digest, "big"), "0256b")
+            reference += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
+        for offset in range(3 * per_block + 1):
+            gen = HashCounterGenerator("cursor", width=width, hash_name=hash_name)
+            gen.words(offset - offset // 2)
+            for _ in range(offset // 2):
+                gen.next_word()
+            assert gen.counter == -(-offset // per_block)
+            twin = gen.clone()
+            assert twin.counter == gen.counter
+            assert twin.words(per_block + 1) == reference[offset : offset + per_block + 1]
+            assert twin.counter == -(-(offset + per_block + 1) // per_block)
+            assert gen.next_word() == reference[offset]  # the original did not move
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_mid_stream_clone(self, variant):
+        make = GENERATOR_PER_VARIANT[variant]
+        expected = make().words(8)
+        gen = make()
+        gen.words(3)
+        twin = gen.clone()
+        assert gen.words(2) == expected[3:5]
+        assert twin.words_emitted == 3
+        assert twin.words(5) == expected[3:8]
+        assert gen.words(3) == expected[5:8]
+        assert twin.words_emitted == gen.words_emitted == 8
+
+
 class TestScripted:
     def test_emits_in_order_then_errors(self):
         g = ScriptedGenerator([3, 1, 4], width=3)
@@ -304,7 +347,7 @@ class TestScripted:
 
 
 # one generator per VARIANTS entry; three 12-bit hash-counter words leave
-# a partly read block in the buffer
+# a partly read block
 GENERATOR_PER_VARIANT = {
     "lcg": lambda: LcgGenerator(RANDU, 1),
     "wichmann_hill": lambda: WichmannHillGenerator((7, 8, 9)),

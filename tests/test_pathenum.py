@@ -5,6 +5,8 @@ import pytest
 from randaudit.integers import exact_distribution
 from randaudit.pathenum import (
     ENUMERABLE_ALGORITHMS,
+    _NeedDraw,
+    _Replay,
     _skip_cells,
     exact_permutation_distribution,
     exact_subset_distribution,
@@ -88,3 +90,12 @@ def test_vitter_z_follows_skip_cells_on_long_streams():
     assert sample.draws == 2
     with pytest.raises(IndexError):
         src.fraction()  # every scripted fraction was used
+
+
+def test_replay_randints_branches_at_the_first_unscripted_draw():
+    src = _Replay((("i", 3, 5), ("i", 1, 4)))
+    with pytest.raises(_NeedDraw) as need:
+        src.randints([5, 4, 3, 2])
+    assert need.value.m == 3
+    assert src.draws == 2
+    assert src.fully_consumed()

@@ -171,7 +171,7 @@ class TestVitterZ:
         for item in range(1, 6):
             assert abs(counts[item] / runs - 0.4) < 0.01
 
-    def test_inclusion_probability_beyond_skip_threshold(self):
+    def test_inclusion_probability_long_skips(self):
         # stream of 100 with k=2: 98 records past the reservoir, so skips
         # run long and the float product of (t - k) / t is exercised
         src = hash_source("vz-z-phase")
@@ -185,7 +185,7 @@ class TestVitterZ:
         for item in range(1, length + 1):
             assert abs(counts[item] / runs - p) < bound, item
 
-    def test_z_phase_skip_distribution_chi_square(self):
+    def test_skip_chain_distribution_chi_square(self):
         # k=1 makes every selection after the first a skip; uniform
         # inclusion across all 150 positions checks the whole skip chain,
         # not just the average rate

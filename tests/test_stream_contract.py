@@ -102,7 +102,7 @@ def test_samples(algorithm, method):
 VITTER_Z_DIGEST = "28232c0d9cd9d304777090bc572b49de3238d5fdaae598c07f77e2ef3413f1f9"
 
 
-def test_vitter_z_phase():
+def test_vitter_z_long_stream():
     k = 10
     stream = range(1, 20 * 22 * k + 1)
     source = RandomSource(HashCounterGenerator("contract:vitter_z:z-phase"))
