@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -115,28 +116,28 @@ class LcgParams:
 RANDU = LcgParams(m=2 ** 31, a=65539, c=0)
 
 
-def _prime_factors(n: int) -> list[int]:
-    from sympy import factorint
-
-    return sorted(factorint(n))
-
-
 def full_period(params: LcgParams) -> bool:
     """Hull-Dobell test: does the LCG visit all m states from every seed?
 
-    True iff c and m are coprime, a-1 is divisible by every prime factor
-    of m, and a-1 is divisible by 4 when m is.
+    True iff c and m are coprime, every prime factor of m divides
+    b = a - 1, and 4 divides b when it divides m.  The prime rule needs no
+    factoring: dividing r = m by gcd(r, b) again and again reaches 1 iff
+    every prime of m divides b, since each step takes at least one copy of
+    every prime that r shares with b and a prime b lacks never leaves r.
+    That is at most log2(m) gcds, exact for a modulus of any size.
     """
-    import math
-
     a, c, m = params.a, params.c, params.m
     if math.gcd(c, m) != 1:
         return False
     b = a - 1
-    if any(b % p for p in _prime_factors(m)):
-        return False
     if m % 4 == 0 and b % 4 != 0:
         return False
+    r = m
+    while r > 1:
+        g = math.gcd(r, b)
+        if g == 1:
+            return False
+        r //= g
     return True
 
 

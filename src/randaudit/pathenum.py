@@ -79,6 +79,8 @@ class _Replay:
     """Feeds a recorded outcome script to an algorithm; raises when the
     algorithm asks for a draw beyond the script."""
 
+    width = 0
+
     def __init__(self, script):
         self._script = script
         self._pos = 0

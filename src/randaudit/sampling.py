@@ -65,6 +65,8 @@ class ScriptedSource:
     is zero since no generator sits underneath.
     """
 
+    width = 0
+
     def __init__(self, ints=(), fractions=()):
         self._ints = list(ints)
         self._fracs = list(fractions)
@@ -106,7 +108,7 @@ def _accounted(source, fn):
         items=tuple(items),
         words=words,
         draws=source.draws - d0,
-        bits=words * getattr(source, "width", 0),
+        bits=words * source.width,
         short=short,
     )
 

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,48 @@ class TestFullPeriod:
         assert full_period(LcgParams(m=256, a=5, c=1)) is True
         assert full_period(RANDU) is False
         assert full_period(LcgParams(m=2, a=1, c=1)) is True
+
+    def test_matches_a_factoring_oracle(self):
+        from sympy import factorint
+
+        def hull_dobell(m, a, c):
+            b = a - 1
+            return (
+                math.gcd(c, m) == 1
+                and all(b % p == 0 for p in factorint(m))
+                and (m % 4 != 0 or b % 4 == 0)
+            )
+
+        rng = random.Random(2026)
+        verdicts = []
+        for i in range(10_000):
+            m = rng.randrange(2, 1 << 20)
+            if i % 2:
+                # a - 1 a multiple of every prime of m (and of 4 when 4 | m)
+                step = math.prod(factorint(m)) * (4 if m % 4 == 0 else 1)
+                a = step * rng.randrange(m // step + 1) % m + 1
+            else:
+                a = rng.randrange(1, m)
+            params = LcgParams(m=m, a=a, c=rng.randrange(m))
+            verdicts.append(full_period(params))
+            assert verdicts[-1] == hull_dobell(m, a, params.c), params
+        assert 2_000 < sum(verdicts) < 8_000
+
+    @pytest.mark.parametrize(
+        "m, a, expected",
+        [
+            (2**61 - 1, 1, True),
+            (2**61 - 1, 2**60, False),
+            ((2**61 - 1) ** 2, 2**61, True),
+            ((2**31 - 1) * (2**61 - 1), 1, True),
+            ((2**31 - 1) * (2**61 - 1), (2**31 - 1) * 6 + 1, False),
+            ((2**31 - 1) * (2**61 - 1) << 64, (2**31 - 1) * (2**61 - 1) * 4 + 1, True),
+        ],
+    )
+    def test_large_prime_factors_decided_fast(self, m, a, expected):
+        start = time.perf_counter()
+        assert full_period(LcgParams(m=m, a=a, c=1)) is expected
+        assert time.perf_counter() - start < 0.01
 
     def test_full_period_params_orbit_covers_all_states(self):
         params = LcgParams(m=256, a=5, c=1)

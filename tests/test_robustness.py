@@ -189,19 +189,18 @@ def test_sample_frequency_counts_match_samplespec():
     assert report.observed == {"min_cell": min(counts.values()), "max_cell": max(counts.values())}
 
 
-def test_cli_generators_run_without_numpy():
-    # importing numpy would add to every CLI run's start-up time and memory;
-    # the generators need only the standard library
-    commands = [
-        ["sample", "--prng", "mt", "--seed", "1", "--n", "1000", "--k", "5"],
-        ["sample", "--prng", "hash", "--seed", "1", "--n", "1000", "--k", "5"],
-        ["gen", "--prng", "mt", "--seed", "1", "--count", "700"],
-    ]
+HEAVY_MODULES = ("numpy", "scipy", "sympy")
+
+
+def run_main_in_one_process(commands):
+    """Exit codes of ``main`` over ``commands`` in one fresh interpreter,
+    and which of HEAVY_MODULES that interpreter had imported by the end."""
     script = (
         "import json, sys\n"
         "from randaudit.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "sys.stderr.write(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+        f"loaded = [m for m in {HEAVY_MODULES!r} if m in sys.modules]\n"
+        "sys.stderr.write(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
@@ -211,4 +210,27 @@ def test_cli_generators_run_without_numpy():
         timeout=10,
         env=env,
     )
-    assert json.loads(proc.stderr) == {"codes": [0, 0, 0], "numpy": False}
+    return json.loads(proc.stderr)
+
+
+def test_cli_generators_run_without_numpy():
+    # importing numpy would add to every CLI run's start-up time and memory;
+    # the generators need only the standard library
+    commands = [
+        ["sample", "--prng", "mt", "--seed", "1", "--n", "1000", "--k", "5"],
+        ["sample", "--prng", "hash", "--seed", "1", "--n", "1000", "--k", "5"],
+        ["gen", "--prng", "mt", "--seed", "1", "--count", "700"],
+    ]
+    assert run_main_in_one_process(commands) == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_cli_audits_run_without_scipy_sympy_or_numpy():
+    # the binomial and chi-square p-values and the Hull-Dobell check are
+    # standard-library code; scipy, sympy and numpy are test oracles only
+    commands = [
+        ["audit", "murdoch", "--prng", "mt", "--seed", "1", "--method", "floor", "--reps", "100000"],
+        ["audit", "derangement", "--seed-string", "x", "--n", "7", "--reps", "10000"],
+        ["audit", "sample-frequency", "--seed-string", "x", "--n", "5", "--k", "2", "--reps", "1000"],
+        ["audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "4"],
+    ]
+    assert run_main_in_one_process(commands) == {"codes": [0, 0, 0, 0], "loaded": []}

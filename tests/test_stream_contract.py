@@ -125,12 +125,12 @@ EXPERIMENTS = {
 }
 
 REPORT_DIGESTS = {
-    "calibration": "8fdf73e256bf6e2624808b734eca8f41c89b51ff5ae829c247c647634746a288",
+    "calibration": "d09284d45cb80a363c7be42297405be13fb306b6407ec9043e4e9a84ce20289e",
     "coverage": "2ef067affecca32d391eb94c9ee4ba72050b8c55bad59b61d077a3a1fbc294a6",
-    "derangement": "c1dce3bc74967ffaa3a32592bcd56ca3de05b3752ac2142f32aa6779d850e4bb",
-    "murdoch": "0018acc28eb454d2ae378d50dfb6c280e5408d3fd97f0de97d82318b0caf301a",
-    "murdoch_mask": "29420da9f97602c212faded52f7d24360c331e6db936e4b347230a0b2f57e3a2",
-    "sample_frequency": "758e6738b46a01bcbd6e5b365a8e255c813907fcea96a165ab8e6ed3aa0f44a9",
+    "derangement": "21e949b4b0b9fe2d90afad3aba38adbe8223873d057aaaeeda0175b0df65aae3",
+    "murdoch": "5ef1373234e6daef9338e4d5485ffbaad2d5f3de7943dcfcfa1d1d3600eee153",
+    "murdoch_mask": "60188d903e543744933d7c4de7aee0cff9fb24dc2c7acb457b2789c195b8add7",
+    "sample_frequency": "1655a365c91f1263407d09de9e0d5d535d096b14c691af0c9510e1bcff1f1275",
     "spearman": "4fac4e76638257b23daef571f739cef7979454bd73a6848d4862a49c3e48fe4b",
 }
 
@@ -166,7 +166,7 @@ COMMANDS = {
 }
 
 CLI_DIGESTS = {
-    "audit": "8ba71d4225d7c55095ab0be2f54181ddeffac97d2d5f368da6586ba11906b0a9",
+    "audit": "09df3d446376d8c0161d78979af81fdf4dca6463cdb4d51b6a026a04a04dcf2b",
     "bounds": "0b1326a236102024d50a10539a7ff86ef5642f195958d8f75c91de73e95264cd",
     "gen": "b32739b06cd8099d6d93f70c5cd8a86a8cb5d1f0a07645035c4858e2f0045246",
     "sample": "859824ce0abd3a103e5a3b1b418825348faf78a4fe4aec65872e8daa93f4bf47",
