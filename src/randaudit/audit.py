@@ -24,11 +24,11 @@ from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
 from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value_scaled
-from .sampling import SampleSpec, fisher_yates, shuffles
+from .sampling import SampleSpec, shuffles
 
 # perfbench/spans.py wraps these by their names in this module
 from .integers import randint_mask  # noqa: F401
-from .sampling import random_indices, reservoir_r  # noqa: F401
+from .sampling import fisher_yates, random_indices, reservoir_r  # noqa: F401
 
 __all__ = [
     "MURDOCH_M",
@@ -420,6 +420,9 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     """Shuffle {1..n} once from every possible initial register of a toy
     LCG and count the distinct permutations.
 
+    Each shuffle is the one fisher_yates makes: ``shuffles`` with count 1,
+    n-1 mask-reject draws from a RandomSource over the LCG.
+
     The count can never exceed the number of initial states (each run is a
     deterministic function of the register), so the attainable fraction of
     the n! permutations is at most states / n!.  This is an exact claim,
@@ -438,8 +441,8 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
         flags.append("not_full_period")
     seen = set()
     for register in range(params.m):
-        src = RandomSource(LcgGenerator(params, register))
-        seen.add(fisher_yates(src, n).items)
+        [perm] = shuffles(RandomSource(LcgGenerator(params, register)), n, 1)
+        seen.add(tuple(perm))
     duration = time.perf_counter() - t0
 
     total = bounds.factorial(n)

@@ -2,9 +2,14 @@
 
 The harness runs the real algorithm implementations over every possible
 sequence of draw outcomes, weighting each path by its exact probability,
-and accumulates the induced distribution as exact rationals.  Paths are
-explored by replaying a growing outcome script against the algorithm and
-branching wherever the script runs out.
+and accumulates the induced distribution as exact rationals.  When a
+replayed outcome script runs out inside a call, the call has already
+named every range it wants, so the search branches over those pending
+ranges one draw at a time without running the algorithm again.  The
+algorithm is replayed once per complete path, and once more wherever a
+script ends just before a new call.  Each path carries its mass as an
+unreduced integer pair, and the rationals are formed once per outcome
+at the end.
 
 Where an algorithm consumes a uniform integer on {1..m}, the branch is
 over the m values with probability 1/m each: for mask-reject on IID
@@ -41,6 +46,7 @@ exercised by scripted unit tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -68,11 +74,13 @@ __all__ = [
 
 
 class _NeedDraw(Exception):
-    """The script ran out at a draw: an integer on {1..m}, or a fraction
-    when m is None."""
+    """The script ran out at a draw.  ``ranges`` lists what the call still
+    wants, starting with the draw it ran out on: integers on {1..m}, or
+    [None] for a fraction; ``m`` is the first of them."""
 
-    def __init__(self, m=None):
-        self.m = m
+    def __init__(self, ranges):
+        self.ranges = ranges
+        self.m = ranges[0]
 
 
 class _Replay:
@@ -87,13 +95,14 @@ class _Replay:
         self.draws = 0
 
     def randints(self, ranges) -> list[int]:
-        """The scripted values for ``ranges``; raises _NeedDraw at the first
-        range past the end of the script."""
+        """The scripted values for ``ranges``; raises _NeedDraw with the
+        ranges left from the first one past the end of the script."""
         script, pos, out = self._script, self._pos, []
+        it = iter(ranges)
         try:
-            for m in ranges:
+            for m in it:
                 if pos == len(script):
-                    raise _NeedDraw(m)
+                    raise _NeedDraw([m, *it])
                 kind, value, m_recorded = script[pos]
                 if kind != "i" or m_recorded != m:
                     raise AssertionError("replay diverged from recorded draw sequence")
@@ -109,7 +118,7 @@ class _Replay:
 
     def fraction(self) -> float:
         if self._pos >= len(self._script):
-            raise _NeedDraw()
+            raise _NeedDraw([None])
         kind, value, _ = self._script[self._pos]
         if kind != "f":
             raise AssertionError("replay diverged from recorded draw sequence")
@@ -130,28 +139,39 @@ def _enumerate(run, branch):
     """DFS over the draw scripts of ``run(source) -> outcome``.
 
     ``branch(m, script)`` lists the (entry, probability) pairs that extend
-    ``script`` at the draw it ran out on (m as in _NeedDraw).  Returns
-    {outcome: Fraction}; the masses sum to exactly 1.
+    ``script`` at its next draw (m as in _NeedDraw).  A stack entry holds
+    a script, the ranges its call still wants and the path mass as an
+    integer pair num/den; an entry with ranges pending branches on the
+    next one directly, and only an entry with none pending is replayed.
+    Returns {outcome: Fraction} in order of first appearance; the masses
+    sum to exactly 1.
     """
-    results: dict = defaultdict(Fraction)
-    stack = [((), Fraction(1))]
+    sums: dict = defaultdict(int)
+    stack = [((), (), 1, 1)]
     while stack:
-        script, prob = stack.pop()
-        src = _Replay(script)
-        try:
-            outcome = run(src)
-        except _NeedDraw as need:
-            for entry, p in branch(need.m, script):
-                if p:
-                    stack.append((script + (entry,), prob * p))
-            continue
-        if not src.fully_consumed():
-            raise AssertionError("algorithm finished without using all draws")
-        results[outcome] += prob
+        script, pending, num, den = stack.pop()
+        if not pending:
+            src = _Replay(script)
+            try:
+                outcome = run(src)
+            except _NeedDraw as need:
+                pending = need.ranges
+            else:
+                if not src.fully_consumed():
+                    raise AssertionError("algorithm finished without using all draws")
+                sums[outcome, den] += num
+                continue
+        rest = pending[1:]
+        for entry, p in branch(pending[0], script):
+            if p:
+                stack.append((script + (entry,), rest, num * p.numerator, den * p.denominator))
+    results: dict = {}
+    for (outcome, den), num in sums.items():
+        results[outcome] = results.get(outcome, 0) + Fraction(num, den)
     total = sum(results.values())
     if total != 1:
         raise AssertionError(f"path probabilities sum to {total}, not 1")
-    return dict(results)
+    return results
 
 
 # Branch rules, built from (n, k, draw_dist).  draw_dist(m) -> {value:
@@ -163,9 +183,15 @@ def _uniform(m: int) -> dict[int, Fraction]:
 
 
 def _int_draws(n, k, draw_dist):
-    """Every integer draw on {1..m} branches over draw_dist(m)."""
+    """Every integer draw on {1..m} branches over draw_dist(m), listed once
+    per m."""
     dist = draw_dist or _uniform
-    return lambda m, script: [(("i", v, m), p) for v, p in dist(m).items()]
+
+    @functools.cache
+    def entries(m):
+        return [(("i", v, m), p) for v, p in dist(m).items()]
+
+    return lambda m, script: entries(m)
 
 
 def _distinct_draws(n, k, draw_dist):
@@ -223,15 +249,15 @@ _BRANCH_RULES = {"random_indices": _distinct_draws, "vitter_z": _skips_and_slots
 
 def _pikk_subsets(spec: SampleSpec):
     n = spec.n
-    results: dict = defaultdict(Fraction)
-    p = Fraction(1, math.factorial(n))
+    counts: dict = defaultdict(int)
     for order in itertools.permutations(range(n)):
         # item with rank r in the order gets the r-th smallest fraction
         fracs = [0.0] * n
         for rank, item in enumerate(order):
             fracs[item] = (rank + 1) / (n + 2)
-        results[spec.run(ScriptedSource(fractions=fracs)).as_set()] += p
-    return dict(results)
+        counts[spec.run(ScriptedSource(fractions=fracs)).as_set()] += 1
+    total = math.factorial(n)
+    return {subset: Fraction(count, total) for subset, count in counts.items()}
 
 
 ENUMERABLE_ALGORITHMS = tuple(ALGORITHMS)

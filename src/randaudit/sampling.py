@@ -60,24 +60,27 @@ class Sample:
 class ScriptedSource:
     """Draw source with pre-decided outcomes, for traced tests and demos.
 
-    randints pops one value from ``ints`` per range (each value is checked
-    against its range); fraction pops from ``fractions``.  Word accounting
-    is zero since no generator sits underneath.
+    randints reads the next value of ``ints`` per range (each value is
+    checked against its range, and a value out of range is still used up);
+    fraction reads the next of ``fractions``.  Running out raises
+    IndexError.  Word accounting is zero since no generator sits
+    underneath.
     """
 
     width = 0
 
     def __init__(self, ints=(), fractions=()):
-        self._ints = list(ints)
-        self._fracs = list(fractions)
+        self._ints = iter(list(ints))
+        self._fracs = iter(list(fractions))
         self.draws = 0
 
     def randints(self, ranges) -> list[int]:
         out = []
         for m in ranges:
-            if not self._ints:
-                raise IndexError("scripted integer draws exhausted")
-            v = self._ints.pop(0)
+            try:
+                v = next(self._ints)
+            except StopIteration:
+                raise IndexError("scripted integer draws exhausted") from None
             if not 1 <= v <= m:
                 raise ValueError(f"scripted draw {v} outside 1..{m}")
             self.draws += 1
@@ -88,9 +91,10 @@ class ScriptedSource:
         return self.randints((m,))[0]
 
     def fraction(self) -> float:
-        if not self._fracs:
-            raise IndexError("scripted fractions exhausted")
-        return self._fracs.pop(0)
+        try:
+            return next(self._fracs)
+        except StopIteration:
+            raise IndexError("scripted fractions exhausted") from None
 
     fraction_nonzero = fraction
 

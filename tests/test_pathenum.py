@@ -1,6 +1,11 @@
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+
+from randaudit import pathenum
 
 from randaudit.integers import exact_distribution
 from randaudit.pathenum import (
@@ -12,7 +17,7 @@ from randaudit.pathenum import (
     exact_subset_distribution,
     uniform_subset_reference,
 )
-from randaudit.sampling import ScriptedSource, vitter_z
+from randaudit.sampling import ScriptedSource, fisher_yates, reservoir_r, vitter_z
 
 
 @pytest.mark.parametrize("algorithm", ENUMERABLE_ALGORITHMS)
@@ -97,5 +102,71 @@ def test_replay_randints_branches_at_the_first_unscripted_draw():
     with pytest.raises(_NeedDraw) as need:
         src.randints([5, 4, 3, 2])
     assert need.value.m == 3
+    assert need.value.ranges == [3, 2]
     assert src.draws == 2
     assert src.fully_consumed()
+
+
+def test_replay_reports_the_rest_of_an_iterator_of_ranges():
+    src = _Replay((("i", 2, 4),))
+    with pytest.raises(_NeedDraw) as need:
+        src.randints(itertools.repeat(4, 3))
+    assert need.value.ranges == [4, 4]
+    assert need.value.m == 4
+
+
+def test_replay_fraction_reports_one_fraction():
+    with pytest.raises(_NeedDraw) as need:
+        _Replay(()).fraction()
+    assert need.value.ranges == [None]
+    assert need.value.m is None
+
+
+def floor3(m):
+    return exact_distribution("floor", 3, m).probs
+
+
+def brute_force(ranges, run):
+    """Every draw tuple over ``ranges`` run through a ScriptedSource, each
+    weighted by its floor-w=3 probability."""
+    dist = defaultdict(Fraction)
+    for draws in itertools.product(*(range(1, m + 1) for m in ranges)):
+        p = math.prod(floor3(m)[v] for m, v in zip(ranges, draws))
+        src = ScriptedSource(ints=draws)
+        outcome = run(src)
+        with pytest.raises(IndexError):
+            src.randint(8)  # the run used every draw
+        if p:
+            dist[outcome] += p
+    return dict(dist)
+
+
+def test_fisher_yates_matches_brute_force_over_every_draw_tuple():
+    expected = brute_force([5, 4, 3, 2], lambda src: fisher_yates(src, 5).items)
+    assert exact_permutation_distribution(5, draw_dist=floor3) == expected
+
+
+def test_reservoir_r_matches_brute_force_over_every_draw_tuple():
+    expected = brute_force([3, 4, 5], lambda src: reservoir_r(range(1, 6), 2, src).as_set())
+    assert exact_subset_distribution("reservoir_r", 5, 2, draw_dist=floor3) == expected
+
+
+@pytest.mark.parametrize(
+    "enumerate_case, replays",
+    [
+        (lambda: exact_permutation_distribution(6), math.factorial(6) + 1),
+        (lambda: exact_subset_distribution("reservoir_r", 6, 2), 3 * 4 * 5 * 6 + 1),
+    ],
+    ids=["permutations6", "reservoir_r_6_2"],
+)
+def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_case, replays):
+    count = [0]
+
+    class CountingReplay(_Replay):
+        def __init__(self, script):
+            count[0] += 1
+            super().__init__(script)
+
+    monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
+    enumerate_case()
+    assert count[0] == replays

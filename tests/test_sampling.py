@@ -24,6 +24,36 @@ def hash_source(seed: str) -> RandomSource:
     return RandomSource(HashCounterGenerator(seed))
 
 
+class TestScriptedSource:
+    def test_values_in_order_across_calls(self):
+        s = ScriptedSource(ints=[2, 1, 3], fractions=[0.25, 0.75])
+        assert s.randints([2, 2]) == [2, 1]
+        assert s.randint(3) == 3
+        assert s.draws == 3
+        assert [s.fraction(), s.fraction_nonzero()] == [0.25, 0.75]
+
+    def test_exhaustion_raises_index_error(self):
+        s = ScriptedSource(ints=[1], fractions=[0.5])
+        with pytest.raises(IndexError):
+            s.randints([4, 4])
+        assert s.draws == 1  # the draw before the end still counts
+        with pytest.raises(IndexError):
+            s.randint(4)
+        s.fraction()
+        with pytest.raises(IndexError):
+            s.fraction()
+
+    def test_out_of_range_value_is_used_up_but_not_counted(self):
+        s = ScriptedSource(ints=[5, 2])
+        with pytest.raises(ValueError):
+            s.randint(4)
+        assert s.draws == 0
+        assert s.randint(4) == 2
+        assert s.draws == 1
+        with pytest.raises(IndexError):
+            s.randint(4)
+
+
 class TestPikk:
     def test_traced_sort_order(self):
         s = ScriptedSource(fractions=[0.3, 0.1, 0.2])

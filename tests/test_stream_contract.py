@@ -29,7 +29,8 @@ from randaudit.generators import (
     Mt19937Generator,
     WichmannHillGenerator,
 )
-from randaudit.integers import METHODS, RandomSource
+from randaudit.integers import METHODS, RandomSource, exact_distribution
+from randaudit.pathenum import ENUMERABLE_ALGORITHMS, exact_permutation_distribution, exact_subset_distribution
 from randaudit.sampling import ALGORITHMS, SampleSpec
 
 WORDS = 10 ** 5
@@ -180,3 +181,48 @@ def test_cli_stdout(command):
         assert main(COMMANDS[command]) == 0
     text = re.sub(r'"duration_s": [0-9.e+-]+', '"duration_s": 0', out.getvalue())
     assert sha(text) == CLI_DIGESTS[command]
+
+
+# Exact path-enumeration references: [outcome, numerator, denominator]
+# rows in the order the enumeration first reaches each outcome (subsets
+# sorted, permutations as produced), so both the masses and the DFS order
+# are pinned.
+PATHENUM_CASES = {
+    **{
+        algorithm: lambda algorithm=algorithm: exact_subset_distribution(algorithm, 6, 3)
+        for algorithm in ENUMERABLE_ALGORITHMS
+    },
+    **{
+        f"fisher_yates/floor{w}": lambda w=w: exact_subset_distribution(
+            "fisher_yates", 6, 3, draw_dist=lambda m: exact_distribution("floor", w, m).probs
+        )
+        for w in (4, 7)
+    },
+    "permutations": lambda: exact_permutation_distribution(5),
+}
+
+PATHENUM_DIGESTS = {
+    "cormen": "473699761e6b1a69eb745d1838ac6ff993e346accd65afbf41a94439a09c64e5",
+    "fisher_yates": "832f2df9940f144622e6a3db9422bbf46608c3e57ca0ed97d9a2314d0d0f1ba8",
+    "fisher_yates/floor4": "0df2769015cef17759b1ebc19c6e1496baf03e569e1a740142c3a451967b8c79",
+    "fisher_yates/floor7": "665c9847d1f0f859c6d4d2aa050597c83c4b0e005457c559b5afc7bc364c485a",
+    "permutations": "55043abdbde73ec007b31580306c1efe591b3ff7baad15c5dcf42ad70255cf91",
+    "pikk": "d2a1d7b741d6d5d1cb5efa4847592418991006235ee3b48ec77616d6e7f76d06",
+    "random_indices": "dec673893d416fbd2e0598b0510d6815b8e6d73b4014abd818c25b46ab296beb",
+    "reservoir_r": "3ede6e6e9a3dc92f2555b31aa05e73b38e6d29c97c58ed1bb28adb0018df0572",
+    "vitter_z": "3ede6e6e9a3dc92f2555b31aa05e73b38e6d29c97c58ed1bb28adb0018df0572",
+}
+
+
+def distribution_rows(dist) -> str:
+    return json.dumps(
+        [
+            [sorted(outcome) if isinstance(outcome, frozenset) else list(outcome), p.numerator, p.denominator]
+            for outcome, p in dist.items()
+        ]
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PATHENUM_CASES))
+def test_exact_distributions(case):
+    assert sha(distribution_rows(PATHENUM_CASES[case]())) == PATHENUM_DIGESTS[case]
