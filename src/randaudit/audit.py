@@ -23,7 +23,7 @@ from operator import eq
 from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
-from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value_scaled
+from .integers import DRAW_CHUNK, RandomSource, floor_even_probability
 from .sampling import SampleSpec, shuffles
 
 # perfbench/spans.py wraps these by their names in this module
@@ -366,6 +366,10 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
 
     method="mask" draws uniformly on {1..m}; m is even, so exactly half
     the range is even and the observed fraction sits at 50%.
+
+    The floor draws' parity is taken at the reduced scale: with num/den the
+    scale over 2^32 in lowest terms q/d, each word's draw is
+    1 + floor(q * word / d), the same integer floor_value_scaled gives.
     """
     if gen.width != 32:
         raise ValueError("the even/odd experiment requires 32-bit words")
@@ -379,16 +383,19 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     even = 0
     if method == "floor":
         reference = floor_even_probability(32, num, den)
+        # floor(num * w / (den * 2^32)) is floor(q * w / d) for the reduced
+        # fraction q / d (2/5); the draw is 1 + that, even when it is odd
+        g = math.gcd(num, den << 32)
+        q, d = num // g, (den << 32) // g
     else:
         reference = Fraction(MURDOCH_M // 2, MURDOCH_M)
         randints = RandomSource(gen).randints
     for done in range(0, replications, DRAW_CHUNK):
         chunk = min(DRAW_CHUNK, replications - done)
         if method == "floor":
-            odd = sum([floor_value_scaled(word, 32, num, den) % 2 for word in gen.words(chunk)])
+            even += sum([q * w // d & 1 for w in gen.words(chunk)])
         else:
-            odd = sum([v % 2 for v in randints(repeat(MURDOCH_M, chunk))])
-        even += chunk - odd
+            even += chunk - sum([v % 2 for v in randints(repeat(MURDOCH_M, chunk))])
     duration = time.perf_counter() - t0
 
     p_even = even / replications

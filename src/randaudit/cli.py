@@ -100,9 +100,15 @@ def _header(config: dict) -> str:
 # gen
 
 def _cmd_gen(args) -> int:
+    # checked before the seed is resolved, so a bad input prints no header
+    if args.count < 0:
+        raise CliError("--count must be >= 0")
+    if args.emit == "integers":
+        if args.int_range is None:
+            raise CliError("--as integers requires --int-range")
+        if args.int_range < 1:
+            raise CliError("--int-range must be >= 1")
     gen, seed_text = _generator_and_seed(args, allow_entropy=True)
-    if args.emit == "integers" and args.int_range is None:
-        raise CliError("--as integers requires --int-range")
 
     config = {
         "command": "gen",

@@ -350,26 +350,44 @@ _UNPACK_256 = {
 }
 
 
+def _block_words(seed_bytes: bytes, width: int, hash_name: str):
+    """counter -> all width-bit words of Hash(seed_bytes , "," , decimal(counter)).
+
+    The seed prefix is hashed once, here; each block copies that state and
+    hashes only its counter.  Words are cut from the digest
+    most-significant-bits first; any remainder narrower than ``width`` is
+    dropped.
+    """
+    prefix = hashlib.new(hash_name, seed_bytes + b",")
+    unpack = _UNPACK_256.get(width) if prefix.digest_size == 32 else None
+    if unpack is None:
+        mask = (1 << width) - 1
+        shifts = range(8 * prefix.digest_size - width, -1, -width)
+
+        def unpack(digest):
+            value = int.from_bytes(digest, "big")
+            return tuple((value >> s) & mask for s in shifts)
+
+    def block(counter: int) -> tuple[int, ...]:
+        h = prefix.copy()
+        h.update(b"%d" % counter)
+        return unpack(h.digest())
+
+    return block
+
+
 def digest_words(
     seed_bytes: bytes, counter: int, width: int = 32, hash_name: str = "sha256"
 ) -> tuple[int, ...]:
     """All width-bit words of Hash(seed_bytes , "," , decimal(counter)).
 
-    Words are cut from the digest most-significant-bits first; any
-    remainder narrower than ``width`` is dropped.  Pure function: equal
-    arguments give equal words regardless of query order.
+    The same block function a HashCounterGenerator stream reads, applied to
+    one counter.  Pure function: equal arguments give equal words
+    regardless of query order.
     """
     if counter < 0:
         raise ValueError("counter must be nonnegative")
-    digest = hashlib.new(hash_name, b"%s,%d" % (seed_bytes, counter)).digest()
-    unpack = _UNPACK_256.get(width) if len(digest) == 32 else None
-    if unpack is not None:
-        return unpack(digest)
-    total_bits = 8 * len(digest)
-    value = int.from_bytes(digest, "big")
-    mask = (1 << width) - 1
-    shifts = range(total_bits - width, -1, -width)
-    return tuple((value >> s) & mask for s in shifts)
+    return _block_words(seed_bytes, width, hash_name)(counter)
 
 
 class HashCounterGenerator(Generator):
@@ -381,6 +399,10 @@ class HashCounterGenerator(Generator):
     decimal.  The default hash is SHA-256; any hashlib algorithm with a
     32-byte digest may be swapped in at construction.  Output depends only
     on (S, i), never on query order.
+
+    Each stream hashes S + "," once and keeps that hash state; a block
+    copies it and hashes only str(i), as the stream reaches it (no
+    read-ahead).
     """
 
     def __init__(
@@ -418,8 +440,9 @@ class HashCounterGenerator(Generator):
         # the blocks from the one holding word ``words_emitted`` on, that
         # block cut to its unread words
         first, offset = divmod(self.words_emitted, 256 // self.width)
-        block = partial(digest_words, self.seed.data, width=self.width, hash_name=self.hash_name)
-        blocks = map(block, count(first))
+        # the hash state lives in the stream's closure, never in vars(self),
+        # which clone() deep-copies
+        blocks = map(_block_words(self.seed.data, self.width, self.hash_name), count(first))
         if offset:
             blocks = chain([next(blocks)[offset:]], blocks)
         self.stream = chain.from_iterable(blocks)

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from randaudit.audit import (
     MURDOCH_M,
@@ -25,7 +28,7 @@ from randaudit.generators import (
     Mt19937Generator,
     ScriptedGenerator,
 )
-from randaudit.integers import floor_value_scaled
+from randaudit.integers import DRAW_CHUNK, floor_value_scaled
 
 
 class TestMurdoch:
@@ -53,6 +56,29 @@ class TestMurdoch:
         r = murdoch_experiment(gen, "floor", reps)
         assert r.observed["even_count"] == expected_even * (reps // len(words))
         assert r.observed["p_even"] == pytest.approx(0.4, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Mt19937Generator(7), lambda: HashCounterGenerator("floor-parity")], ids=["mt19937", "hash"]
+    )
+    def test_floor_even_count_matches_the_scaled_kernel(self, make):
+        reps = 100_003  # a partial last chunk
+        assert reps % DRAW_CHUNK
+        gen = make()
+        twin = gen.clone()
+        r = murdoch_experiment(gen, "floor", reps)
+        expected = sum(floor_value_scaled(w, 32, *MURDOCH_SCALE) % 2 == 0 for w in twin.words(reps))
+        assert r.observed["even_count"] == expected
+        assert gen.words_emitted == reps
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(0)
+    @example(2 ** 32 - 1)
+    def test_reduced_scale_floor_is_the_scaled_kernel(self, w):
+        num, den = MURDOCH_SCALE
+        g = math.gcd(num, den << 32)
+        q, d = num // g, (den << 32) // g
+        assert (q, d) == (2, 5)
+        assert q * w // d == floor_value_scaled(w, 32, num, den) - 1
 
     def test_width_must_be_32(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,23 @@ class TestGen:
         values = [int(v) for v in out.strip().splitlines()[1:]]
         assert all(1 <= v <= 6 for v in values)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--count", "-1"],
+            ["--as", "integers", "--int-range", "0"],
+            ["--as", "integers", "--int-range", "-3"],
+            ["--as", "integers", "--int-range", "0", "--count", "0"],
+        ],
+    )
+    def test_bad_count_or_range_exits_2_before_the_header(self, capsys, monkeypatch, argv):
+        # no seed either: the input check comes before the entropy warning
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_wh_and_mt_generators(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--prng", "mt", "--seed", "5489", "--count", "1")
         assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -25,6 +26,7 @@ from randaudit.generators import (
     load_seed,
     seed_generator,
 )
+from randaudit.integers import KERNELS
 
 # First outputs of the reference MT19937 stream for the canonical seed,
 # frozen from an independent implementation (numpy.random.RandomState).
@@ -277,25 +279,54 @@ class TestHashCounter:
         assert abs(mean - 128) <= 5
 
 
-class TestInterleavedCalls:
-    """words(n) and next_word() mixed in one stream, around MT's 624-word
-    state and the hash counter's digest blocks, against references that
-    share no code with the generators."""
+HASH_WIDTHS = [1, 5, 8, 12, 16, 32, 64, 256]
+HASH_NAMES = ["sha256", "sha3_256", "blake2s"]
 
-    # ("words", n) is one words(n) call, ("next", n) n next_word() calls;
-    # the words(0) after ("next", 3) sits inside a partly read block
+
+def hashlib_words(seed: bytes, width: int, hash_name: str, count: int) -> list[int]:
+    """The first ``count`` words of a hash counter, from hashlib alone: each
+    block is the whole digest of seed + "," + decimal counter, cut into
+    width-bit words from the top, with any narrower remainder dropped."""
+    per_block = 256 // width
+    out = []
+    for counter in range(-(-count // per_block)):
+        digest = hashlib.new(hash_name, seed + b"," + str(counter).encode()).digest()
+        bits = format(int.from_bytes(digest, "big"), "0256b")
+        out += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
+    return out[:count]
+
+
+# read n words from gen and return them: one words(n) call, n next_word()
+# calls, or n draws on {1..2^width} by a kernel, each of which reads one
+# word and returns it plus 1
+READS = {
+    "words": lambda gen, n: gen.words(n),
+    "next": lambda gen, n: [gen.next_word() for _ in range(n)],
+    "floor": lambda gen, n: [v - 1 for v in KERNELS["floor"](gen, [1 << gen.width] * n)],
+    "mask": lambda gen, n: [v - 1 for v in KERNELS["mask"](gen, [1 << gen.width] * n)],
+}
+
+
+class TestInterleavedCalls:
+    """words(n), next_word() and kernel draws mixed in one stream, around
+    MT's 624-word state and the hash counter's digest blocks, against
+    references that share no code with the generators."""
+
+    # (read, n) reads n words through READS[read]; the words(0) after
+    # ("next", 3) sits inside a partly read block
     STEPS = [
         ("next", 3), ("words", 0), ("words", 1), ("words", 623), ("next", 1),
         ("words", 624), ("words", 0), ("words", 625), ("next", 2), ("words", 1249),
-        ("words", 0), ("next", 1),
+        ("words", 0), ("next", 1), ("floor", 5), ("mask", 0), ("mask", 7), ("floor", 630),
+        ("mask", 625), ("next", 1),
     ]
     TOTAL = sum(n for _, n in STEPS)
     CLONE_AFTER = 3  # after 627 words: mid-state for MT, mid-block for every hash width but 256
 
     def check(self, gen, reference, blocks_for=None):
         out = []
-        for i, (call, n) in enumerate(self.STEPS):
-            out += gen.words(n) if call == "words" else [gen.next_word() for _ in range(n)]
+        for i, (read, n) in enumerate(self.STEPS):
+            out += READS[read](gen, n)
             assert gen.words_emitted == len(out)
             if blocks_for:
                 assert gen.counter == blocks_for(len(out))
@@ -311,48 +342,40 @@ class TestInterleavedCalls:
         ref = np.random.RandomState(seed % 2 ** 32).randint(0, 2 ** 32, size=self.TOTAL, dtype=np.uint64)
         self.check(Mt19937Generator(seed), ref.tolist())
 
-    @pytest.mark.parametrize("width", [8, 16, 32, 64, 12, 256])
+    @pytest.mark.parametrize("width", HASH_WIDTHS)
     def test_hash_counter_against_hashlib(self, width):
-        import hashlib
-
         per_block = 256 // width
-        reference = []
-        for counter in range(-(-self.TOTAL // per_block)):
-            digest = hashlib.sha256(b"interleave," + str(counter).encode()).digest()
-            bits = format(int.from_bytes(digest, "big"), "0256b")
-            reference += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
-        gen = HashCounterGenerator("interleave", width=width)
-        self.check(gen, reference[: self.TOTAL], lambda words: -(-words // per_block))
+        for hash_name in HASH_NAMES:
+            reference = hashlib_words(b"interleave", width, hash_name, self.TOTAL)
+            gen = HashCounterGenerator("interleave", width=width, hash_name=hash_name)
+            self.check(gen, reference, lambda words: -(-words // per_block))
 
 
 class TestCursor:
     """The hash counter's position is words_emitted alone: counter and
     clone() are derived from it at every offset."""
 
-    @pytest.mark.parametrize(
-        "width, hash_name",
-        [(8, "sha256"), (12, "sha256"), (32, "sha256"), (64, "sha256"), (32, "sha3_256")],
-    )
+    @pytest.mark.parametrize("hash_name", HASH_NAMES)
+    @pytest.mark.parametrize("width", HASH_WIDTHS)
     def test_counter_and_clone_at_every_offset(self, width, hash_name):
-        import hashlib
-
         per_block = 256 // width
-        reference = []
-        for counter in range(5):
-            digest = hashlib.new(hash_name, b"cursor," + str(counter).encode()).digest()
-            bits = format(int.from_bytes(digest, "big"), "0256b")
-            reference += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
+        reference = hashlib_words(b"cursor", width, hash_name, 5 * per_block)
+        # every offset through three blocks: each side of two block boundaries
         for offset in range(3 * per_block + 1):
             gen = HashCounterGenerator("cursor", width=width, hash_name=hash_name)
-            gen.words(offset - offset // 2)
-            for _ in range(offset // 2):
-                gen.next_word()
-            assert gen.counter == -(-offset // per_block)
+            # reach the offset through all four readers
+            quarter = offset // 4
+            parts = zip(READS, (offset - 3 * quarter, quarter, quarter, quarter))
+            assert sum((READS[read](gen, n) for read, n in parts), []) == reference[:offset]
+            counter = -(-offset // per_block)
+            assert gen.counter == counter
             twin = gen.clone()
-            assert twin.counter == gen.counter
+            assert twin.counter == counter
             assert twin.words(per_block + 1) == reference[offset : offset + per_block + 1]
             assert twin.counter == -(-(offset + per_block + 1) // per_block)
-            assert gen.next_word() == reference[offset]  # the original did not move
+            # the clone shares no hash state: the original did not move
+            assert gen.counter == counter
+            assert gen.next_word() == reference[offset]
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_mid_stream_clone(self, variant):

@@ -67,6 +67,27 @@ def test_first_words(family):
     assert sha(",".join(map(str, words))) == WORD_DIGESTS[family]
 
 
+# hash-counter words at the widths that cut a digest with struct (8, 16,
+# 32 and 64 are struct codes; 1 and 12 are not), the full-digest width,
+# and the other 256-bit hashes
+HASH_WORDS = 300
+
+HASH_WORD_DIGESTS = {
+    (1, "sha256"): "113347aac5fa753f04ea7a04709a3c2a46b59ff71ad28cf71325d45276ad0f4c",
+    (12, "sha256"): "14a130a341197f560d853f261b71e0365d1f97438b89c751f4c0d55fbaa15afd",
+    (64, "sha256"): "a35f6672c6dcb2c28f47bbae0fa8e7438a03f205f2e62f21be4019c68bb4e4f0",
+    (256, "sha256"): "411226d6c6c1602f7a069750f7df271746cc20a10c8c7d19a2c5d52dc568a83f",
+    (32, "sha3_256"): "296186ddfed19a21f244fb597bd916c75f6154229df469c14a00339685901f71",
+    (32, "blake2s"): "71ddd1d9dd1770f454aee37f5769bc70d15b0dd7620cf7859e22b13465706278",
+}
+
+
+@pytest.mark.parametrize("width, hash_name", sorted(HASH_WORD_DIGESTS))
+def test_hash_counter_words(width, hash_name):
+    words = HashCounterGenerator("contract:width", width, hash_name).words(HASH_WORDS)
+    assert sha(",".join(map(str, words))) == HASH_WORD_DIGESTS[width, hash_name]
+
+
 SAMPLE_N, SAMPLE_K, SAMPLE_RUNS = 20, 5, 100
 
 SAMPLE_DIGESTS = {
@@ -116,6 +137,9 @@ EXPERIMENTS = {
     "murdoch_mask": lambda: audit.murdoch_experiment(
         HashCounterGenerator("contract:murdoch"), "mask", 10 ** 5
     ),
+    "murdoch_floor_hash": lambda: audit.murdoch_experiment(
+        HashCounterGenerator("contract:murdoch-floor"), "floor", 10 ** 5
+    ),
     "coverage": lambda: audit.permutation_coverage(LcgParams(m=64, a=5, c=1), 4),
     "derangement": lambda: audit.derangement_test(HashCounterGenerator("contract:d"), 7, 10 ** 4),
     "spearman": lambda: audit.spearman_test(WichmannHillGenerator(5), 4, 10 ** 4),
@@ -130,6 +154,7 @@ REPORT_DIGESTS = {
     "coverage": "2ef067affecca32d391eb94c9ee4ba72050b8c55bad59b61d077a3a1fbc294a6",
     "derangement": "21e949b4b0b9fe2d90afad3aba38adbe8223873d057aaaeeda0175b0df65aae3",
     "murdoch": "5ef1373234e6daef9338e4d5485ffbaad2d5f3de7943dcfcfa1d1d3600eee153",
+    "murdoch_floor_hash": "ed5befbc41de3209c3bb425a3e9dd792be9f796449142e30afde64c30febea1e",
     "murdoch_mask": "60188d903e543744933d7c4de7aee0cff9fb24dc2c7acb457b2789c195b8add7",
     "sample_frequency": "1655a365c91f1263407d09de9e0d5d535d096b14c691af0c9510e1bcff1f1275",
     "spearman": "4fac4e76638257b23daef571f739cef7979454bd73a6848d4862a49c3e48fe4b",
