@@ -437,9 +437,11 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     then even the per-orbit variety is smaller than the state count
     suggests.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if params.m > 1 << 16:
         raise InfeasibleSizeError("toy LCG modulus must be <= 2^16")
-    if not 1 <= n <= 8:
+    if n > 8:
         raise InfeasibleSizeError("need n <= 8 to enumerate permutations")
 
     t0 = time.perf_counter()

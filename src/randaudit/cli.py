@@ -4,7 +4,10 @@ Every command resolves a seed (flag > seed file > RANDAUDIT_SEED env
 var), echoes the full configuration and seed into its output header, and
 is byte-for-byte reproducible from that header apart from timing fields.
 
-Exit codes, each failure with a one-line ``error:`` on stderr: 0 success;
+A warning (an unreachable integer range, a stream shorter than the
+reservoir, fresh entropy) is one ``warning:`` line on stderr.  Exit codes,
+each failure with a one-line ``error:`` on stderr, after any warnings: 0
+success;
 2 usage error, including alpha outside (0, 1), zero calibration
 repetitions, an exhausted scripted source, and a degenerate generator
 (DegenerateStreamError: a redraw loop hit its limit); 3 infeasible size,
@@ -20,6 +23,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 from itertools import repeat
 
 from . import audit as audit_mod
@@ -120,17 +124,15 @@ def _cmd_gen(args) -> int:
         "int_range": args.int_range if args.emit == "integers" else None,
     }
     print(_header(config))
-    if args.emit == "integers":
-        randints = RandomSource(gen, method=args.method).randints
-        for done in range(0, args.count, DRAW_CHUNK):
-            values = randints(repeat(args.int_range, min(DRAW_CHUNK, args.count - done)))
-            print("\n".join(map(str, values)))
-        return 0
-    for _ in range(args.count):
-        if args.emit == "words":
-            print(gen.next_word())
-        else:
-            print(repr(gen.next_fraction()))
+    randints = RandomSource(gen, method=args.method).randints
+    draw = {
+        "words": gen.words,
+        "fractions": gen.fractions,
+        "integers": lambda count: randints(repeat(args.int_range, count)),
+    }[args.emit]
+    for done in range(0, args.count, DRAW_CHUNK):
+        # repr is str for an int, and the shortest round-trip text for a float
+        print("\n".join(map(repr, draw(min(DRAW_CHUNK, args.count - done)))))
     return 0
 
 
@@ -393,20 +395,28 @@ def _add_report_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _warn_one_line(message, category, filename, lineno, file=None, line=None):
+    # without the library file, line number and source line that Python's
+    # default format prints
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InfeasibleSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INFEASIBLE
-    except (ValueError, OSError, ScriptedExhaustedError, DegenerateStreamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn_one_line
+        try:
+            return args.fn(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
+        except InfeasibleSizeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return INFEASIBLE
+        except (ValueError, OSError, ScriptedExhaustedError, DegenerateStreamError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

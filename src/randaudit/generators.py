@@ -5,8 +5,8 @@ words.  Equal construction arguments always yield equal output sequences;
 `clone()` snapshots the full state so two copies evolve identically.
 
 A generator's words come from one iterator, its ``stream``.  ``next_word``,
-``words`` and the integer kernels all read from it, and whoever reads
-words adds their number to ``words_emitted``.
+``words``, ``fractions`` and the integer kernels all read from it, and
+whoever reads words adds their number to ``words_emitted``.
 """
 
 from __future__ import annotations
@@ -171,9 +171,14 @@ class Generator:
         self.words_emitted += 1
         return word
 
+    def fractions(self, count: int) -> list[float]:
+        """The next ``count`` words normalized to [0, 1) as word / 2**width."""
+        scale = 1 << self.width
+        return [word / scale for word in self.words(count)]
+
     def next_fraction(self) -> float:
-        """The next word normalized to [0, 1) as word / 2**width."""
-        return self.next_word() / (1 << self.width)
+        """The one-fraction case of ``fractions``."""
+        return self.fractions(1)[0]
 
     def words(self, count: int) -> list[int]:
         out: list[int] = []
@@ -257,10 +262,12 @@ def _wh_words(s: list[int]):
 class WichmannHillGenerator(Generator):
     """Sum of three multiplicative LCGs; native output is a fraction in [0, 1).
 
-    ``next_fraction`` is the native output.  ``next_word`` is a 32-bit
-    discretization, floor(fraction * 2**32); it loses the low-order part of
-    the native resolution and is provided only so this generator fits the
-    common word interface.  Both advance the state once.
+    ``fractions`` (and so ``next_fraction``) gives the native output, the
+    exact register sum over the product of the moduli rounded once to a
+    float.  ``next_word`` is a 32-bit discretization,
+    floor(fraction * 2**32); it loses the low-order part of the native
+    resolution and is provided only so this generator fits the common word
+    interface.  Each word or fraction advances the state once.
     """
 
     width = 32
@@ -288,9 +295,11 @@ class WichmannHillGenerator(Generator):
     def _start(self) -> None:
         self.stream = _wh_words(self._s)
 
-    def next_fraction(self) -> float:
-        self.words_emitted += 1
-        return _wh_advance(self._s) / _WH_D
+    def fractions(self, count: int) -> list[float]:
+        s = self._s
+        out = [_wh_advance(s) / _WH_D for _ in range(count)]
+        self.words_emitted += len(out)
+        return out
 
     def spec(self) -> dict:
         seed = self._seed if isinstance(self._seed, int) else list(self._seed)

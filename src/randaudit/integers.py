@@ -16,11 +16,13 @@ discards the leftover bits of its last word at every range boundary, so
 a sequence reads exactly the words its ranges would read one call at a
 time.
 
-Samplers draw through a draw source.  The protocol is three methods:
-``randints(ranges)`` (a list, one draw per range), ``randint(m)`` (its
-one-range case) and ``fraction()`` (word / 2**width).  RandomSource
-implements it over a generator; sampling.ScriptedSource and
-pathenum._Replay implement it over scripted outcomes.
+Samplers draw through a draw source.  The protocol is two sequence calls
+and their one-element cases: ``randints(ranges)`` (a list, one draw per
+range) with ``randint(m)``, and ``fractions(count)`` (a list of count
+fractions in [0, 1), word / 2**width over a generator) with
+``fraction()``.  RandomSource implements it over a generator;
+sampling.ScriptedSource and pathenum._Replay implement it over scripted
+outcomes.
 """
 
 from __future__ import annotations
@@ -373,7 +375,9 @@ class RandomSource:
 
     This is the draw-source protocol the samplers use: ``randints(ranges)``
     draws on {1..m} for each m of a sequence in one call, ``randint(m)`` is
-    its one-range case, and ``fraction()`` gives word / 2**width.
+    its one-range case, ``fractions(count)`` gives the generator's next
+    count fractions (word / 2**width) and ``fraction()`` is its one-element
+    case.
     """
 
     def __init__(self, gen: Generator, method: str = "mask"):
@@ -395,6 +399,9 @@ class RandomSource:
         out = self._kernel(self.gen, (m,))
         self.draws += 1
         return out[0]
+
+    def fractions(self, count: int) -> list[float]:
+        return self.gen.fractions(count)
 
     def fraction(self) -> float:
         return self.gen.next_fraction()

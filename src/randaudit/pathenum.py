@@ -75,8 +75,8 @@ __all__ = [
 
 class _NeedDraw(Exception):
     """The script ran out at a draw.  ``ranges`` lists what the call still
-    wants, starting with the draw it ran out on: integers on {1..m}, or
-    [None] for a fraction; ``m`` is the first of them."""
+    wants, starting with the draw it ran out on: m for an integer on
+    {1..m}, None for a fraction; ``m`` is the first of them."""
 
     def __init__(self, ranges):
         self.ranges = ranges
@@ -116,14 +116,20 @@ class _Replay:
     def randint(self, m: int) -> int:
         return self.randints((m,))[0]
 
-    def fraction(self) -> float:
-        if self._pos >= len(self._script):
-            raise _NeedDraw([None])
-        kind, value, _ = self._script[self._pos]
-        if kind != "f":
+    def fractions(self, count: int) -> list[float]:
+        """The scripted fractions for ``count`` draws; raises _NeedDraw with
+        one None per draw left past the end of the script."""
+        entries = self._script[self._pos : self._pos + max(count, 0)]
+        values = [value for kind, value, _ in entries if kind == "f"]
+        if len(values) < len(entries):
             raise AssertionError("replay diverged from recorded draw sequence")
-        self._pos += 1
-        return value
+        self._pos += len(entries)
+        if len(entries) < count:
+            raise _NeedDraw([None] * (count - len(entries)))
+        return values
+
+    def fraction(self) -> float:
+        return self.fractions(1)[0]
 
     fraction_nonzero = fraction
 

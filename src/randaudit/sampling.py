@@ -1,11 +1,12 @@
 """Sampling and permutation algorithms over a draw source.
 
 Every algorithm takes a draw source, a RandomSource or any object with
-the same small protocol (``randints``, ``randint``, ``fraction``; see the
-integers module), so the generator and integer method are chosen by the
-caller.  Integer draws default to mask-reject through RandomSource; the
-biased methods are an explicit opt-in there.  Samplers that know their
-ranges ahead draw them with one ``randints`` call.
+the same small protocol (``randints`` and ``randint``, ``fractions`` and
+``fraction``; see the integers module), so the generator and integer
+method are chosen by the caller.  Integer draws default to mask-reject
+through RandomSource; the biased methods are an explicit opt-in there.
+Samplers that know their ranges ahead draw them with one ``randints``
+call, and pikk draws its n keys with one ``fractions`` call.
 
 Each run is strictly sequential over its one draw source; experiments
 that parallelize must hand each worker an independently seeded generator.
@@ -62,9 +63,9 @@ class ScriptedSource:
 
     randints reads the next value of ``ints`` per range (each value is
     checked against its range, and a value out of range is still used up);
-    fraction reads the next of ``fractions``.  Running out raises
-    IndexError.  Word accounting is zero since no generator sits
-    underneath.
+    fractions(count) reads the next count of ``fractions``.  Running out
+    raises IndexError, after the values that were left are used up.  Word
+    accounting is zero since no generator sits underneath.
     """
 
     width = 0
@@ -90,11 +91,14 @@ class ScriptedSource:
     def randint(self, m: int) -> int:
         return self.randints((m,))[0]
 
+    def fractions(self, count: int) -> list[float]:
+        out = list(islice(self._fracs, max(count, 0)))
+        if len(out) < count:
+            raise IndexError("scripted fractions exhausted")
+        return out
+
     def fraction(self) -> float:
-        try:
-            return next(self._fracs)
-        except StopIteration:
-            raise IndexError("scripted fractions exhausted") from None
+        return self.fractions(1)[0]
 
     fraction_nonzero = fraction
 
@@ -124,17 +128,18 @@ def pikk(source, n: int, k: int) -> Sample:
     """Permute indices and keep k: assign each index a fraction, sort, take
     the first k.
 
-    Always consumes exactly n fraction draws.  Ties are broken by original
-    index (stable), which matters for discrete word sources; a tie never
+    Draws the n keys in one ``fractions(n)`` call, whatever k is.  The
+    indices are sorted by key with a stable sort, so ties are broken by
+    original index, which matters for discrete word sources; a tie never
     triggers a redraw.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
 
     def run():
-        keyed = [(source.fraction(), i) for i in range(1, n + 1)]
-        keyed.sort()
-        return [i for _, i in keyed[:k]], False
+        keys = source.fractions(n)
+        order = sorted(range(n), key=keys.__getitem__)
+        return [i + 1 for i in order[:k]], False
 
     return _accounted(source, run)
 

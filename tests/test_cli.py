@@ -216,6 +216,20 @@ class TestAudit:
         )
         assert code == INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "m, n, code",
+        [(64, 0, USAGE_ERROR), (64, -2, USAGE_ERROR), (64, 9, INFEASIBLE), (2 ** 17, 4, INFEASIBLE)],
+    )
+    def test_coverage_size_errors(self, capsys, m, n, code):
+        got, out, err = run_cli(
+            capsys, "audit", "coverage", "--a", "5", "--c", "1", "--m", str(m), "--n", str(n)
+        )
+        assert got == code
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert ("n must be >= 1" in err) == (code == USAGE_ERROR)
+        assert out == ""
+
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -244,6 +258,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "gen", "--scripted", str(p), "--count", "5")
         assert code == USAGE_ERROR
         assert "exhausted" in err
+
+    def test_warning_is_one_line_before_the_error(self, capsys, tmp_path):
+        p = tmp_path / "short.txt"
+        p.write_text("width=5\n1\n2\n")
+        code, _, err = run_cli(
+            capsys, "sample", "--scripted", str(p), "--algo", "cormen", "--n", "40", "--k", "3",
+            "--method", "floor",
+        )
+        assert code == USAGE_ERROR
+        assert err.splitlines() == [
+            "warning: m=38 exceeds the word range 2**5; at least 6 values can never be produced",
+            "error: scripted source exhausted after 2 words",
+        ]
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +479,72 @@ class TestDeterminismAndCloning:
         assert g.counter == 0
         with pytest.raises(ValueError):
             seed_generator("xkcd221", 4)
+
+
+# fractions(count) read in this order: across MT's 624-word twists and
+# across hash-counter blocks, starting inside a block and ending inside one
+FRACTION_SPLITS = [3, 0, 1, 620, 5, 624, 2, 1249, 7]
+
+# every word family, the hash counter at widths that cut its digest with
+# and without struct, and at widths wider than a double's mantissa
+FRACTION_GENERATORS = {
+    "lcg": lambda: LcgGenerator(RANDU, 1),
+    "mt19937": lambda: Mt19937Generator(4357),
+    **{
+        f"hash_counter/{w}": lambda w=w: HashCounterGenerator("fractions", width=w)
+        for w in (1, 5, 12, 32, 64, 256)
+    },
+    "scripted": lambda: ScriptedGenerator(list(range(8)), width=3, cycles=None),
+}
+
+
+class TestFractions:
+    @pytest.mark.parametrize("name", sorted(FRACTION_GENERATORS))
+    def test_fractions_are_words_over_2_to_the_width(self, name):
+        gen = FRACTION_GENERATORS[name]()
+        ref = gen.clone()
+        for count in FRACTION_SPLITS:
+            before = gen.words_emitted
+            assert gen.fractions(count) == [ref.next_word() / 2 ** ref.width for _ in range(count)]
+            assert gen.words_emitted == before + count
+        assert gen.next_fraction() == ref.next_word() / 2 ** ref.width
+        assert gen.words(5) == ref.words(5)
+
+    def test_wichmann_hill_fractions_are_native(self):
+        moduli, multipliers = (30269, 30307, 30323), (171, 172, 170)
+        registers = [7, 8, 9]
+        gen = WichmannHillGenerator(tuple(registers))
+
+        def native():
+            # (s1/m1 + s2/m2 + s3/m3) mod 1, exactly, for the next registers
+            for i in range(3):
+                registers[i] = multipliers[i] * registers[i] % moduli[i]
+            return sum(Fraction(s, m) for s, m in zip(registers, moduli)) % 1
+
+        for count in FRACTION_SPLITS:
+            before = gen.words_emitted
+            assert gen.fractions(count) == [float(native()) for _ in range(count)]
+            assert gen.words_emitted == before + count
+            # the word interface continues the same register sequence
+            assert gen.next_word() == math.floor(native() * 2 ** 32)
+        assert gen.next_fraction() == float(native())
+        assert gen.registers == tuple(registers)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_nonpositive_count_returns_nothing(self, variant):
+        gen = GENERATOR_PER_VARIANT[variant]()
+        gen.words(3)
+        ref = gen.clone()
+        for count in (0, -1, -5):
+            assert gen.fractions(count) == []
+        assert gen.words_emitted == 3
+        assert gen.words(5) == ref.words(5)
+
+    def test_exhausted_script_settles_the_words_read(self):
+        gen = ScriptedGenerator([1, 2, 3], width=2)
+        with pytest.raises(ScriptedExhaustedError):
+            gen.fractions(5)
+        assert gen.words_emitted == 3
 
 
 class TestSeed:

@@ -122,6 +122,18 @@ def test_replay_fraction_reports_one_fraction():
     assert need.value.m is None
 
 
+def test_replay_fractions_report_one_none_per_missing_fraction():
+    src = _Replay((("f", 0.25, 0), ("f", 0.5, 1)))
+    assert src.fractions(0) == src.fractions(-2) == []
+    assert src.fractions(1) == [0.25]
+    with pytest.raises(_NeedDraw) as need:
+        src.fractions(4)
+    assert need.value.ranges == [None] * 3
+    assert need.value.m is None
+    assert src.fully_consumed()
+    assert src.draws == 0
+
+
 def floor3(m):
     return exact_distribution("floor", 3, m).probs
 

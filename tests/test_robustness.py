@@ -11,11 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randaudit import audit
+from randaudit.cli import _ALGO_NAMES
 from randaudit.errors import DegenerateStreamError, InfeasibleSizeError
 from randaudit.generators import HashCounterGenerator, LcgGenerator, LcgParams, ScriptedGenerator
-from randaudit.integers import MAX_REJECTIONS, RandomSource, randint_mask
+from randaudit.integers import DRAW_CHUNK, MAX_REJECTIONS, METHODS, RandomSource, randint_mask
 from randaudit.sampling import ALGORITHMS, SampleSpec, random_indices
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -234,3 +237,65 @@ def test_cli_audits_run_without_scipy_sympy_or_numpy():
         ["audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "4"],
     ]
     assert run_main_in_one_process(commands) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+# ---------------------------------------------------------------------------
+# An argv fuzz over gen and sample: every well-formed command line runs, or
+# ends in exit 2 or 3 with a one-line error; warnings are one line each,
+# and nothing prints a traceback
+
+SCRIPTED = "<scripted file>"  # stands for the scripted_file fixture's path
+SIGNED = st.integers(min_value=-3 * DRAW_CHUNK, max_value=3 * DRAW_CHUNK)
+LCG_FIELD = st.integers(min_value=-2, max_value=300)
+
+
+@pytest.fixture(scope="module")
+def scripted_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "words.txt"
+    path.write_text("width=5\n" + "\n".join(str(7 * i % 32) for i in range(60)) + "\n")
+    return str(path)
+
+
+@st.composite
+def generator_flags(draw):
+    prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg", "scripted"]))
+    if prng == "scripted":
+        return ["--scripted", SCRIPTED]
+    if prng != "lcg":
+        return ["--prng", prng, "--seed", str(draw(SIGNED))]
+    fields = [str(draw(LCG_FIELD)) for _ in range(4)]
+    return ["--prng", "lcg", "--seed", fields[0], "--a", fields[1], "--c", fields[2], "--m", fields[3]]
+
+
+@st.composite
+def gen_argv(draw):
+    argv = ["gen", *draw(generator_flags()), "--count", str(draw(SIGNED))]
+    argv += ["--as", draw(st.sampled_from(["words", "fractions", "integers"]))]
+    argv += ["--method", draw(st.sampled_from(METHODS))]
+    if draw(st.booleans()):
+        argv += ["--int-range", str(draw(SIGNED))]
+    return argv
+
+
+@st.composite
+def sample_argv(draw):
+    argv = ["sample", *draw(generator_flags()), "--algo", draw(st.sampled_from(_ALGO_NAMES))]
+    argv += ["--k", str(draw(SIGNED)), "--method", draw(st.sampled_from(METHODS))]
+    if draw(st.booleans()):
+        argv += ["--n", str(draw(SIGNED))]
+    if draw(st.booleans()):
+        argv.append("--with-replacement")
+    return argv
+
+
+@given(argv=st.one_of(gen_argv(), sample_argv()))
+@settings(max_examples=80, deadline=None)
+def test_gen_and_sample_argv_fuzz(scripted_file, argv):
+    proc = run_cli(*(scripted_file if arg == SCRIPTED else arg for arg in argv))
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    # one line per warning, then one error line when the run failed
+    lines = proc.stderr.splitlines()
+    if proc.returncode:
+        assert lines and lines.pop().startswith("error: "), proc.stderr
+    assert all(line.startswith("warning: ") for line in lines), proc.stderr

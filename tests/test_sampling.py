@@ -1,11 +1,13 @@
+import contextlib
 import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import GENERATORS
 
-from randaudit.errors import ShortStreamWarning
+from randaudit.errors import ScriptedExhaustedError, ShortStreamWarning
 from randaudit.generators import HashCounterGenerator
 from randaudit.integers import RandomSource
 from randaudit.sampling import (
@@ -42,6 +44,16 @@ class TestScriptedSource:
         s.fraction()
         with pytest.raises(IndexError):
             s.fraction()
+
+    def test_fractions_use_up_what_is_left_then_raise(self):
+        s = ScriptedSource(fractions=[0.1, 0.2, 0.3])
+        assert s.fractions(0) == s.fractions(-2) == []
+        assert s.fractions(1) == [0.1]
+        with pytest.raises(IndexError):
+            s.fractions(3)  # two left: both used up by the failed call
+        with pytest.raises(IndexError):
+            s.fraction()
+        assert s.fractions(0) == []
 
     def test_out_of_range_value_is_used_up_but_not_counted(self):
         s = ScriptedSource(ints=[5, 2])
@@ -84,6 +96,65 @@ class TestPikk:
         # item j in the shuffled run carries item perm[j-1]+1's fraction, so
         # mapping each output index through perm recovers the reference
         assert [perm[v - 1] + 1 for v in out] == list(ref)
+
+
+def tuple_sort_pikk(source, n, k):
+    """pikk as written before keys were drawn in one call: one fraction()
+    per index, then a sort of (key, index) pairs."""
+    keyed = [(source.fraction(), i) for i in range(1, n + 1)]
+    keyed.sort()
+    return tuple(i for _, i in keyed[:k])
+
+
+# a few key values, so that scripted keys tie often
+SCRIPTED_KEYS = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0, exclude_max=True)), max_size=40
+)
+
+
+class TestPikkOracle:
+    """pikk against tuple_sort_pikk over every generator family of the
+    kernel tests (ties at widths 5, 8 and 12, exhaustion in the short
+    script) and over scripted sources."""
+
+    @given(
+        name=st.sampled_from(sorted(GENERATORS)),
+        skip=st.sampled_from([0, 1, 7, 30, 601]),
+        calls=st.lists(st.tuples(st.integers(0, 90), st.floats(0.0, 1.0)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generators(self, name, skip, calls):
+        gen = GENERATORS[name]()
+        with contextlib.suppress(ScriptedExhaustedError):
+            gen.words(skip)
+        ref = gen.clone()
+        source, ref_source = RandomSource(gen), RandomSource(ref)
+        for n, k_frac in calls:
+            k = round(k_frac * n)
+            try:
+                expected = tuple_sort_pikk(ref_source, n, k)
+            except ScriptedExhaustedError:
+                with pytest.raises(ScriptedExhaustedError):
+                    pikk(source, n, k)
+                assert gen.words_emitted == ref.words_emitted
+                break
+            words = ref.words_emitted - gen.words_emitted
+            sample = pikk(source, n, k)
+            assert (sample.items, sample.words, sample.draws) == (expected, words, 0)
+            assert gen.words_emitted == ref.words_emitted
+
+    @given(keys=SCRIPTED_KEYS, n=st.integers(0, 40), k_frac=st.floats(0.0, 1.0))
+    def test_scripted_sources(self, keys, n, k_frac):
+        k = round(k_frac * n)
+        source = ScriptedSource(fractions=keys)
+        if n > len(keys):
+            with pytest.raises(IndexError):
+                pikk(source, n, k)
+            return
+        sample = pikk(source, n, k)
+        expected = tuple_sort_pikk(ScriptedSource(fractions=keys), n, k)
+        assert (sample.items, sample.words, sample.draws) == (expected, 0, 0)
+        assert source.fractions(len(keys) - n) == keys[n:]
 
 
 class TestFisherYates:

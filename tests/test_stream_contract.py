@@ -121,6 +121,40 @@ def test_samples(algorithm, method):
     assert sha(sample_lines(samples)) == SAMPLE_DIGESTS[algorithm, method]
 
 
+# pikk on every generator family at k = 0, 5 and n: the hash counter at
+# width 4 has 16 key values for 20 items, so ties are certain and the
+# index tie-break is pinned; Wichmann-Hill keys are its native fractions
+PIKK_GENERATORS = {
+    "hash_counter/4": lambda: HashCounterGenerator("contract:pikk", width=4),
+    "wichmann_hill": lambda: WichmannHillGenerator(11),
+    "mt19937": lambda: Mt19937Generator(2718),
+    "randu": lambda: LcgGenerator(RANDU, 1),
+}
+
+PIKK_DIGESTS = {
+    ("hash_counter/4", 0): "520c2d74966c52c5aa251f13ee93eb8aa2ce387ba3da453b4216a5dbb51c6178",
+    ("hash_counter/4", 5): "e63ac6f8f0f4eaef7809db957608c8643a888b677501070cf6202c5efda3ee03",
+    ("hash_counter/4", 20): "7ebbd029bb1f5e3123decbc038bcfd2eba8d37abd0dd8a0eb11d161db47b8672",
+    ("mt19937", 0): "161641d61d6619934b72cafcaf4d86d53af0eb0739fe7777c8ecee74b3409de5",
+    ("mt19937", 5): "c7ac60ad764967c2511bdfca9876478b3742177bad1d33fc77951ec7a204fd0a",
+    ("mt19937", 20): "04514451bdc43ea4bce0dcb027a0b82a76da2ea90b83affa4fda7fcf4edc36f1",
+    ("randu", 0): "f81804562bd102b1224bd85fb2ba4eb2b1d4d7b0dcd6e25536f70daf9e15cebd",
+    ("randu", 5): "36813a4c7e828489c1cb0441272a47fd5089ce83a4e9a7333a4c5623acb3b6d5",
+    ("randu", 20): "a1b28febbf4c2c75eef556f0c1b67d1549cc2b3d30f61c41ab25a971661ca645",
+    ("wichmann_hill", 0): "161641d61d6619934b72cafcaf4d86d53af0eb0739fe7777c8ecee74b3409de5",
+    ("wichmann_hill", 5): "f96940d425981c32a47af5957a8410db3a75b4f44299f79a18ae8c1bb3e90522",
+    ("wichmann_hill", 20): "68f9d54e5e13f071e2e3c6213a699cebdb5915e09057051f452bf4d8e0a91e1b",
+}
+
+
+@pytest.mark.parametrize("k", [0, SAMPLE_K, SAMPLE_N])
+@pytest.mark.parametrize("family", sorted(PIKK_GENERATORS))
+def test_pikk_samples(family, k):
+    source = RandomSource(PIKK_GENERATORS[family]())
+    samples = [SampleSpec(SAMPLE_N, k, algorithm="pikk").run(source) for _ in range(SAMPLE_RUNS)]
+    assert sha(sample_lines(samples)) == PIKK_DIGESTS[family, k]
+
+
 VITTER_Z_DIGEST = "28232c0d9cd9d304777090bc572b49de3238d5fdaae598c07f77e2ef3413f1f9"
 
 
@@ -185,6 +219,10 @@ COMMANDS = {
         "bounds", "--state-bits", "32", "--target-n", "50", "--target-k", "10",
         "--format", "json",
     ],
+    # --count above DRAW_CHUNK: two full chunks and a part
+    "gen_fractions_hash": ["gen", "--seed", "contract", "--as", "fractions", "--count", "10000"],
+    "gen_fractions_wh": ["gen", "--prng", "wh", "--seed", "5", "--as", "fractions", "--count", "10000"],
+    "gen_words_mt": ["gen", "--prng", "mt", "--seed", "9", "--as", "words", "--count", "10000"],
     "audit": [
         "audit", "sample-frequency", "--prng", "mt", "--seed", "11", "--n", "4",
         "--k", "2", "--reps", "600", "--algorithm", "reservoir_r", "--method", "round",
@@ -195,6 +233,9 @@ CLI_DIGESTS = {
     "audit": "09df3d446376d8c0161d78979af81fdf4dca6463cdb4d51b6a026a04a04dcf2b",
     "bounds": "0b1326a236102024d50a10539a7ff86ef5642f195958d8f75c91de73e95264cd",
     "gen": "b32739b06cd8099d6d93f70c5cd8a86a8cb5d1f0a07645035c4858e2f0045246",
+    "gen_fractions_hash": "02bf4cb11aad09052af3dfc883ff7eb7b35fc5d1983a1b8a19e29da9aa6d1c80",
+    "gen_fractions_wh": "c089fd96c96b96a73efc101fbea1ce2497f6a46c29bc24a5c5ece2d332cb887f",
+    "gen_words_mt": "152531d51c02fda0bb1024a827bd6f922a3af77a111e46da002a944face1ace6",
     "sample": "859824ce0abd3a103e5a3b1b418825348faf78a4fe4aec65872e8daa93f4bf47",
 }
 
