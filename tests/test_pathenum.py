@@ -182,3 +182,37 @@ def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_c
     monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
     enumerate_case()
     assert count[0] == replays
+
+
+# _enumerate's own checks, fed a custom run and the plain integer branch rule
+
+def test_enumerate_rejects_a_run_that_asks_a_different_range_on_replay():
+    calls = [0]
+
+    def run(src):
+        calls[0] += 1
+        return src.randint(2 if calls[0] == 1 else 3)
+
+    with pytest.raises(AssertionError, match="diverged"):
+        pathenum._enumerate(run, pathenum._int_draws(3, 1, None))
+
+
+def test_enumerate_rejects_a_run_that_leaves_a_scripted_draw_unused():
+    calls = [0]
+
+    def run(src):
+        calls[0] += 1
+        return src.randint(2) if calls[0] == 1 else "done"
+
+    with pytest.raises(AssertionError, match="finished without using all draws"):
+        pathenum._enumerate(run, pathenum._int_draws(2, 1, None))
+
+
+def test_enumerate_rejects_branch_masses_that_do_not_sum_to_one():
+    rule = pathenum._int_draws(2, 1, None)
+
+    def half(*args):
+        return [(entry, p / 2) for entry, p in rule(*args)]
+
+    with pytest.raises(AssertionError, match=r"sum to 1/2, not 1"):
+        pathenum._enumerate(lambda src: src.randint(2), half)
