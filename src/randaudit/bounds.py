@@ -115,6 +115,16 @@ def _decimal_exponent(num: int, den: int) -> tuple[int, int, int]:
     return e, num_s, den_s
 
 
+def _round_half_up(e: int, num: int, den: int, sig: int) -> tuple[int, str]:
+    # (num/den) * 10**e with num/den in [1, 10), as its exponent and its sig
+    # leading digits, rounded half up; a carry to 10 moves the exponent
+    mant = (num * 10 ** (sig - 1) * 2 + den) // (2 * den)
+    if mant >= 10 ** sig:
+        mant //= 10
+        e += 1
+    return e, str(mant)
+
+
 def sci_string(value, sig: int = 3) -> str:
     """value rendered as d.dd...e+exp with sig significant digits, computed
     in exact integer arithmetic (round half up)."""
@@ -123,12 +133,7 @@ def sci_string(value, sig: int = 3) -> str:
         return "-" + sci_string(-fr, sig)
     if fr == 0:
         return "0e+0"
-    e, num, den = _decimal_exponent(fr.numerator, fr.denominator)
-    mant = (num * 10 ** (sig - 1) * 2 + den) // (2 * den)
-    if mant >= 10 ** sig:
-        mant //= 10
-        e += 1
-    s = str(mant)
+    e, s = _round_half_up(*_decimal_exponent(fr.numerator, fr.denominator), sig)
     return (f"{s[0]}.{s[1:]}e{e:+d}") if sig > 1 else f"{s}e{e:+d}"
 
 
@@ -140,11 +145,7 @@ def decimal_string(value, sig: int = 6) -> str:
         return "0"
     e, num, den = _decimal_exponent(abs(fr).numerator, abs(fr).denominator)
     if -9 <= e < sig + 3:
-        mant = (num * 10 ** (sig - 1) * 2 + den) // (2 * den)
-        if mant >= 10 ** sig:
-            mant //= 10
-            e += 1
-        digits = str(mant)
+        e, digits = _round_half_up(e, num, den, sig)
         sign = "-" if fr < 0 else ""
         if e >= sig - 1:
             return sign + digits + "0" * (e - sig + 1)

@@ -142,11 +142,14 @@ def _cmd_gen(args) -> int:
 def _cmd_sample(args) -> int:
     algo_tag = args.algo.replace("-", "_")
     streaming = algo_tag in STREAMING_ALGORITHMS
-    if streaming:
-        if args.file is None and args.n is None:
-            raise CliError(f"--algo {args.algo} needs --file (use - for stdin) or --n")
+    if args.file is not None:
+        if not streaming:
+            raise CliError(f"--file is for the streaming algorithms only, not --algo {args.algo}")
+        if args.n is not None:
+            raise CliError("--file and --n exclude each other: the stream is the population")
     elif args.n is None:
-        raise CliError(f"--algo {args.algo} needs --n")
+        hint = " or --file (use - for stdin)" if streaming else ""
+        raise CliError(f"--algo {args.algo} needs --n{hint}")
 
     gen, seed_text = _generator_and_seed(args, allow_entropy=False)
     source = RandomSource(gen, method=args.method)
@@ -169,7 +172,7 @@ def _cmd_sample(args) -> int:
         "with_replacement": args.with_replacement,
     }
     print(_header(config))
-    if streaming and args.file is not None:
+    if args.file is not None:
         if args.file == "-":
             sample = spec.run(source, stream=(ln.rstrip("\n") for ln in sys.stdin))
         else:
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scripted", help="scripted word file")
     s.add_argument("--n", type=int, help="population size 1..n")
     s.add_argument("--k", type=int, required=True, help="sample size")
-    s.add_argument("--file", help="stream file for reservoir algorithms (- for stdin)")
+    s.add_argument("--file", help="stream file for the reservoir algorithms, in place of --n (- for stdin)")
     s.add_argument(
         "--algo",
         choices=_ALGO_NAMES,

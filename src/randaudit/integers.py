@@ -20,9 +20,9 @@ Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
 range) with ``randint(m)``, and ``fractions(count)`` (a list of count
 fractions in [0, 1), word / 2**width over a generator) with
-``fraction()``.  RandomSource implements it over a generator;
-sampling.ScriptedSource and pathenum._Replay implement it over scripted
-outcomes.
+``fraction()``.  RandomSource implements it over a generator, and
+sampling.ScriptedSource over scripted outcomes, which is also how the
+path enumeration replays each path.
 """
 
 from __future__ import annotations

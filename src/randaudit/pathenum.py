@@ -2,14 +2,16 @@
 
 The harness runs the real algorithm implementations over every possible
 sequence of draw outcomes, weighting each path by its exact probability,
-and accumulates the induced distribution as exact rationals.  When a
-replayed outcome script runs out inside a call, the call has already
-named every range it wants, so the search branches over those pending
-ranges one draw at a time without running the algorithm again.  The
-algorithm is replayed once per complete path, and once more wherever a
-script ends just before a new call.  Each path carries its mass as an
-unreduced integer pair, and the rationals are formed once per outcome
-at the end.
+and accumulates the induced distribution as exact rationals.  A path
+is the draws made so far, as two tuples in the order drawn: integer
+entries (value, m) and fraction entries.  The algorithm replays a path
+through a sampling.ScriptedSource that reads those entries in place.
+When the replay runs out inside a call, the call has already named
+every range it wants, so the search branches over those pending ranges
+one draw at a time without running the algorithm again.  The algorithm
+is replayed once per complete path, and once more wherever a path ends
+just before a new call.  Each path carries its mass as an unreduced
+integer pair, and the rationals are formed once per outcome at the end.
 
 Where an algorithm consumes a uniform integer on {1..m}, the branch is
 over the m values with probability 1/m each: for mask-reject on IID
@@ -40,7 +42,7 @@ random_indices without replacement rejects duplicates; a duplicate draw
 leaves the algorithm state unchanged, so the next accepted value is
 distributed as the draw distribution conditioned on the unseen values
 (the same geometric collapse).  The harness enumerates duplicate-free
-scripts with those collapsed weights; the rejection code path itself is
+paths with those collapsed weights; the rejection code path itself is
 exercised by scripted unit tests.
 """
 
@@ -74,90 +76,46 @@ __all__ = [
 
 
 class _NeedDraw(Exception):
-    """The script ran out at a draw.  ``ranges`` lists what the call still
-    wants, starting with the draw it ran out on: m for an integer on
-    {1..m}, None for a fraction; ``m`` is the first of them."""
+    """The replayed path ran out at a draw.  ``ranges`` lists what the
+    call still wants, starting with the draw it ran out on: m for an
+    integer on {1..m}, None for a fraction."""
 
     def __init__(self, ranges):
         self.ranges = ranges
-        self.m = ranges[0]
 
 
-class _Replay:
-    """Feeds a recorded outcome script to an algorithm; raises when the
-    algorithm asks for a draw beyond the script."""
+class _Replay(ScriptedSource):
+    """Replays a path: its integer entries (value, m) are read in place,
+    its fraction entries (v, t) give v; running out raises _NeedDraw."""
 
-    width = 0
+    def __init__(self, ints, fracs):
+        # only vitter_z paths hold fractions; integer entries are not copied
+        self._ints, self._fracs = ints, [v for v, _ in fracs] if fracs else []
+        self._ipos = self._fpos = self.draws = 0
 
-    def __init__(self, script):
-        self._script = script
-        self._pos = 0
-        self.draws = 0
-
-    def randints(self, ranges) -> list[int]:
-        """The scripted values for ``ranges``; raises _NeedDraw with the
-        ranges left from the first one past the end of the script."""
-        script, pos, out = self._script, self._pos, []
-        it = iter(ranges)
-        try:
-            for m in it:
-                if pos == len(script):
-                    raise _NeedDraw([m, *it])
-                kind, value, m_recorded = script[pos]
-                if kind != "i" or m_recorded != m:
-                    raise AssertionError("replay diverged from recorded draw sequence")
-                out.append(value)
-                pos += 1
-        finally:
-            self.draws += pos - self._pos
-            self._pos = pos
-        return out
-
-    def randint(self, m: int) -> int:
-        return self.randints((m,))[0]
-
-    def fractions(self, count: int) -> list[float]:
-        """The scripted fractions for ``count`` draws; raises _NeedDraw with
-        one None per draw left past the end of the script."""
-        entries = self._script[self._pos : self._pos + max(count, 0)]
-        values = [value for kind, value, _ in entries if kind == "f"]
-        if len(values) < len(entries):
-            raise AssertionError("replay diverged from recorded draw sequence")
-        self._pos += len(entries)
-        if len(entries) < count:
-            raise _NeedDraw([None] * (count - len(entries)))
-        return values
-
-    def fraction(self) -> float:
-        return self.fractions(1)[0]
-
-    fraction_nonzero = fraction
-
-    @property
-    def words_used(self) -> int:
-        return 0
-
-    def fully_consumed(self) -> bool:
-        return self._pos == len(self._script)
+    def _ran_out(self, ranges):
+        raise _NeedDraw(ranges)
 
 
 def _enumerate(run, branch):
-    """DFS over the draw scripts of ``run(source) -> outcome``.
+    """DFS over the draw paths of ``run(source) -> outcome``.
 
-    ``branch(m, script)`` lists the (entry, probability) pairs that extend
-    ``script`` at its next draw (m as in _NeedDraw).  A stack entry holds
-    a script, the ranges its call still wants and the path mass as an
-    integer pair num/den; an entry with ranges pending branches on the
-    next one directly, and only an entry with none pending is replayed.
-    Returns {outcome: Fraction} in order of first appearance; the masses
-    sum to exactly 1.
+    A path is two tuples in the order drawn: integer entries (value, m)
+    and fraction entries (v, t), where t is whatever state the branch rule
+    keeps for the next fraction.  ``branch(m, ints, fracs)`` lists the
+    (entry, probability) pairs that extend the path at its next draw (m as
+    in _NeedDraw).  A stack entry holds a path, the ranges its call still
+    wants and the path mass as an integer pair num/den; an entry with
+    ranges pending branches on the next one directly, and only an entry
+    with none pending is replayed.  Returns {outcome: Fraction} in order
+    of first appearance; the masses sum to exactly 1.
     """
     sums: dict = defaultdict(int)
-    stack = [((), (), 1, 1)]
+    stack = [((), (), (), 1, 1)]
     while stack:
-        script, pending, num, den = stack.pop()
+        ints, fracs, pending, num, den = stack.pop()
         if not pending:
-            src = _Replay(script)
+            src = _Replay(ints, fracs)
             try:
                 outcome = run(src)
             except _NeedDraw as need:
@@ -167,10 +125,11 @@ def _enumerate(run, branch):
                     raise AssertionError("algorithm finished without using all draws")
                 sums[outcome, den] += num
                 continue
-        rest = pending[1:]
-        for entry, p in branch(pending[0], script):
+        m, rest = pending[0], pending[1:]
+        for entry, p in branch(m, ints, fracs):
             if p:
-                stack.append((script + (entry,), rest, num * p.numerator, den * p.denominator))
+                path = (ints, fracs + (entry,)) if m is None else (ints + (entry,), fracs)
+                stack.append((*path, rest, num * p.numerator, den * p.denominator))
     results: dict = {}
     for (outcome, den), num in sums.items():
         results[outcome] = results.get(outcome, 0) + Fraction(num, den)
@@ -195,23 +154,23 @@ def _int_draws(n, k, draw_dist):
 
     @functools.cache
     def entries(m):
-        return [(("i", v, m), p) for v, p in dist(m).items()]
+        return [((v, m), p) for v, p in dist(m).items()]
 
-    return lambda m, script: entries(m)
+    return lambda m, ints, fracs: entries(m)
 
 
 def _distinct_draws(n, k, draw_dist):
-    """Draw-until-distinct on {1..n}, collapsed: scripts are duplicate-free
+    """Draw-until-distinct on {1..n}, collapsed: paths are duplicate-free
     and each accepted value v after the distinct prefix 'seen' carries
     weight p(v) / (1 - p(seen))."""
     base = (draw_dist or _uniform)(n)
 
-    def branch(m, script):
+    def branch(m, ints, fracs):
         if m != n:
             raise AssertionError("collapsed enumeration expects draws on {1..n}")
-        seen = {entry[1] for entry in script}
+        seen = {v for v, _ in ints}
         denom = 1 - sum(base[s] for s in seen)
-        return [(("i", v, n), p / denom) for v, p in base.items() if v not in seen and p]
+        return [((v, n), p / denom) for v, p in base.items() if v not in seen and p]
 
     return branch
 
@@ -234,17 +193,17 @@ def _skip_cells(k: int, t: int, remaining: int):
 
 
 def _skips_and_slots(n, k, draw_dist):
-    """vitter_z: a fraction branches over the exact skip cells (its script
-    entry records the skip, so the records seen so far are k plus the skips
-    and their records); a slot draw is uniform on {1..k}."""
+    """vitter_z: a fraction branches over the exact skip cells, and its
+    entry (v, t) records t, the records seen once the skip's record is
+    kept; a slot draw is uniform on {1..k}."""
 
-    def branch(m, script):
+    def branch(m, ints, fracs):
         if m is None:
-            t = k + sum(entry[2] + 1 for entry in script if entry[0] == "f")
-            return [(("f", v, s), p) for s, p, v in _skip_cells(k, t, n - t)]
+            t = fracs[-1][1] if fracs else k
+            return [((v, t + s + 1), p) for s, p, v in _skip_cells(k, t, n - t)]
         if m != k:
             raise AssertionError("vitter slot draw should be on {1..k}")
-        return [(("i", v, k), Fraction(1, k)) for v in range(1, k + 1)]
+        return [((v, k), Fraction(1, k)) for v in range(1, k + 1)]
 
     return branch
 

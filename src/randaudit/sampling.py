@@ -59,42 +59,62 @@ class Sample:
 
 
 class ScriptedSource:
-    """Draw source with pre-decided outcomes, for traced tests and demos.
+    """Draw source with pre-decided outcomes, for traced tests and demos,
+    and the replay source of the path enumeration.
 
     randints reads the next value of ``ints`` per range (each value is
     checked against its range, and a value out of range is still used up);
     fractions(count) reads the next count of ``fractions``.  Running out
-    raises IndexError, after the values that were left are used up.  Word
-    accounting is zero since no generator sits underneath.
+    calls ``_ran_out`` with the ranges the call still wants (None for a
+    fraction), after the values that were left are used up; here it raises
+    IndexError.  Word accounting is zero since no generator sits underneath.
+
+    Both scripts are read in place through a cursor each.  An integer
+    entry is a pair (value, m): a value given here records no range (m is
+    None), and an entry that records m must be drawn on exactly that
+    range, else the replay has diverged.
     """
 
     width = 0
 
     def __init__(self, ints=(), fractions=()):
-        self._ints = iter(list(ints))
-        self._fracs = iter(list(fractions))
+        self._ints = [(v, None) for v in ints]
+        self._fracs = list(fractions)
+        self._ipos = self._fpos = 0
         self.draws = 0
 
+    def _ran_out(self, ranges):
+        raise IndexError("scripted draws exhausted")
+
     def randints(self, ranges) -> list[int]:
-        out = []
-        for m in ranges:
-            try:
-                v = next(self._ints)
-            except StopIteration:
-                raise IndexError("scripted integer draws exhausted") from None
-            if not 1 <= v <= m:
-                raise ValueError(f"scripted draw {v} outside 1..{m}")
-            self.draws += 1
-            out.append(v)
+        ints, pos, out = self._ints, self._ipos, []
+        it = iter(ranges)
+        try:
+            for m in it:
+                if pos == len(ints):
+                    self._ran_out([m, *it])
+                v, recorded = ints[pos]
+                pos += 1
+                if recorded != m:
+                    if recorded is not None:
+                        raise AssertionError("replay diverged from recorded draw sequence")
+                    if not 1 <= v <= m:
+                        raise ValueError(f"scripted draw {v} outside 1..{m}")
+                out.append(v)
+        finally:
+            self._ipos = pos
+            self.draws += len(out)
         return out
 
     def randint(self, m: int) -> int:
         return self.randints((m,))[0]
 
     def fractions(self, count: int) -> list[float]:
-        out = list(islice(self._fracs, max(count, 0)))
+        pos = self._fpos
+        out = self._fracs[pos : pos + max(count, 0)]
+        self._fpos = pos + len(out)
         if len(out) < count:
-            raise IndexError("scripted fractions exhausted")
+            self._ran_out([None] * (count - len(out)))
         return out
 
     def fraction(self) -> float:
@@ -105,6 +125,9 @@ class ScriptedSource:
     @property
     def words_used(self) -> int:
         return 0
+
+    def fully_consumed(self) -> bool:
+        return self._ipos == len(self._ints) and self._fpos == len(self._fracs)
 
 
 def _accounted(source, fn):

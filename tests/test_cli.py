@@ -143,6 +143,25 @@ class TestSample:
         )
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algo", "reservoir-r", "--n", "10", "--k", "2"], "--file and --n"),
+            (["--algo", "vitter-z", "--n", "3", "--k", "5"], "--file and --n"),
+            (["--algo", "cormen", "--k", "2"], "--file is for the streaming algorithms"),
+            (["--algo", "cormen", "--n", "10", "--k", "2"], "--file is for the streaming algorithms"),
+        ],
+        ids=["reservoir-r-with-n", "vitter-z-with-n-below-k", "cormen", "cormen-with-n"],
+    )
+    def test_file_is_refused_where_it_would_be_ignored(self, capsys, tmp_path, flags, message):
+        stream = tmp_path / "s50.txt"
+        stream.write_text("".join(f"{i}\n" for i in range(1, 51)))
+        code, out, err = run_cli(capsys, "sample", "--file", str(stream), *flags, "--seed", "1")
+        assert code == USAGE_ERROR
+        assert out == ""  # refused before the header
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestBounds:
     def test_table1_text(self, capsys):

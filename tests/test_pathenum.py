@@ -98,38 +98,34 @@ def test_vitter_z_follows_skip_cells_on_long_streams():
 
 
 def test_replay_randints_branches_at_the_first_unscripted_draw():
-    src = _Replay((("i", 3, 5), ("i", 1, 4)))
+    src = _Replay(((3, 5), (1, 4)), ())
     with pytest.raises(_NeedDraw) as need:
         src.randints([5, 4, 3, 2])
-    assert need.value.m == 3
     assert need.value.ranges == [3, 2]
     assert src.draws == 2
     assert src.fully_consumed()
 
 
 def test_replay_reports_the_rest_of_an_iterator_of_ranges():
-    src = _Replay((("i", 2, 4),))
+    src = _Replay(((2, 4),), ())
     with pytest.raises(_NeedDraw) as need:
         src.randints(itertools.repeat(4, 3))
     assert need.value.ranges == [4, 4]
-    assert need.value.m == 4
 
 
 def test_replay_fraction_reports_one_fraction():
     with pytest.raises(_NeedDraw) as need:
-        _Replay(()).fraction()
+        _Replay((), ()).fraction()
     assert need.value.ranges == [None]
-    assert need.value.m is None
 
 
 def test_replay_fractions_report_one_none_per_missing_fraction():
-    src = _Replay((("f", 0.25, 0), ("f", 0.5, 1)))
+    src = _Replay((), ((0.25, 3), (0.5, 5)))
     assert src.fractions(0) == src.fractions(-2) == []
     assert src.fractions(1) == [0.25]
     with pytest.raises(_NeedDraw) as need:
         src.fractions(4)
     assert need.value.ranges == [None] * 3
-    assert need.value.m is None
     assert src.fully_consumed()
     assert src.draws == 0
 
@@ -175,9 +171,9 @@ def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_c
     count = [0]
 
     class CountingReplay(_Replay):
-        def __init__(self, script):
+        def __init__(self, ints, fracs):
             count[0] += 1
-            super().__init__(script)
+            super().__init__(ints, fracs)
 
     monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
     enumerate_case()

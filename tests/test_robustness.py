@@ -245,6 +245,7 @@ def test_cli_audits_run_without_scipy_sympy_or_numpy():
 # and nothing prints a traceback
 
 SCRIPTED = "<scripted file>"  # stands for the scripted_file fixture's path
+STREAM = "<stream file>"  # stands for the stream_file fixture's path
 SIGNED = st.integers(min_value=-3 * DRAW_CHUNK, max_value=3 * DRAW_CHUNK)
 LCG_FIELD = st.integers(min_value=-2, max_value=300)
 
@@ -253,6 +254,13 @@ LCG_FIELD = st.integers(min_value=-2, max_value=300)
 def scripted_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "words.txt"
     path.write_text("width=5\n" + "\n".join(str(7 * i % 32) for i in range(60)) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def stream_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "stream.txt"
+    path.write_text("".join(f"record {i}\n" for i in range(12)))
     return str(path)
 
 
@@ -284,15 +292,21 @@ def sample_argv(draw):
     if draw(st.booleans()):
         argv += ["--n", str(draw(SIGNED))]
     if draw(st.booleans()):
+        argv += ["--file", STREAM]
+    if draw(st.booleans()):
         argv.append("--with-replacement")
     return argv
 
 
 @given(argv=st.one_of(gen_argv(), sample_argv()))
 @settings(max_examples=80, deadline=None)
-def test_gen_and_sample_argv_fuzz(scripted_file, argv):
-    proc = run_cli(*(scripted_file if arg == SCRIPTED else arg for arg in argv))
+def test_gen_and_sample_argv_fuzz(scripted_file, stream_file, argv):
+    paths = {SCRIPTED: scripted_file, STREAM: stream_file}
+    proc = run_cli(*(paths.get(arg, arg) for arg in argv))
     assert proc.returncode in (0, 2, 3), proc.stderr
+    if STREAM in argv and ("--n" in argv or argv[argv.index("--algo") + 1] not in ("reservoir-r", "vitter-z")):
+        # a --file that would be ignored is refused before the header
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
     # one line per warning, then one error line when the run failed
     lines = proc.stderr.splitlines()
