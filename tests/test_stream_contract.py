@@ -219,6 +219,7 @@ COMMANDS = {
         "bounds", "--state-bits", "32", "--target-n", "50", "--target-k", "10",
         "--format", "json",
     ],
+    **{f"table1_{fmt}": ["bounds", "--table1", "--format", fmt] for fmt in ("text", "csv", "json")},
     # --count above DRAW_CHUNK: two full chunks and a part
     "gen_fractions_hash": ["gen", "--seed", "contract", "--as", "fractions", "--count", "10000"],
     "gen_fractions_wh": ["gen", "--prng", "wh", "--seed", "5", "--as", "fractions", "--count", "10000"],
@@ -237,6 +238,9 @@ CLI_DIGESTS = {
     "gen_fractions_wh": "c089fd96c96b96a73efc101fbea1ce2497f6a46c29bc24a5c5ece2d332cb887f",
     "gen_words_mt": "152531d51c02fda0bb1024a827bd6f922a3af77a111e46da002a944face1ace6",
     "sample": "859824ce0abd3a103e5a3b1b418825348faf78a4fe4aec65872e8daa93f4bf47",
+    "table1_csv": "3be2a67bc4a7d4bb42e7dc88b7374743ece024bb4ad95c0dd0036391feb51974",
+    "table1_json": "a9a66aa8aabd4abe0f6bb275d53f2e182d561f5fee02b786adf12122e0ab3461",
+    "table1_text": "894696ff8c807aff5e347f9826b63b894497198c5b38d0b4eef0942b2f162745",
 }
 
 
