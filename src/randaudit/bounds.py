@@ -3,9 +3,9 @@
 Counting a generator's reachable outcomes against the number of
 permutations or samples of a population is a pure pigeonhole argument, so
 everything here is exact: factorials and binomials are arbitrary-precision
-integers, attainability fractions are rationals, and the floating
-inequalities (Stirling, entropy) are evaluated in 50-digit arithmetic,
-far beyond the gap between each bound and its target.
+integers, attainability fractions and the entropy bounds are rationals,
+and the two bounds with pi, e or square roots (Stirling, combination) are
+50-digit decimals, far beyond the gap between each bound and its target.
 
 Exact values are limited to MAX_BITS bits, checked from a cheap estimate
 before anything large is computed.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import InfeasibleSizeError
@@ -203,49 +204,46 @@ def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Analytic bounds (50-digit evaluation)
+# Analytic bounds: exact rationals, or 50-digit decimals
 
-_DPS = 50
+# every operation rounds in this context; the default one has 28 digits and
+# overflows near 10**999999 (10**9 ** 10**9 is about 10**(9 * 10**9))
+_CTX = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_E = _CTX.exp(1)
 
 
-def stirling_bounds(n: int):
-    """(lower, upper) with lower <= n! <= upper:
+def stirling_bounds(n: int) -> tuple[Decimal, Decimal]:
+    """(lower, upper) with lower <= n! <= upper, as 50-digit Decimals:
     sqrt(2 pi) n^(n+1/2) e^-n <= n! <= e n^(n+1/2) e^-n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        nn = mpmath.mpf(n)
-        core = nn ** (nn + mpmath.mpf(1) / 2) * mpmath.exp(-nn)
-        return mpmath.sqrt(2 * mpmath.pi) * core, mpmath.e * core
+    c = _CTX
+    core = c.multiply(c.multiply(c.power(n, n), c.sqrt(n)), c.exp(-n))
+    return c.multiply(c.sqrt(c.multiply(2, _PI)), core), c.multiply(_E, core)
 
 
-def entropy_bounds(n: int, k: int):
-    """(lower, upper) with lower <= C(n,k) <= upper:
+def entropy_bounds(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """(lower, upper) with lower <= C(n,k) <= upper, as exact Fractions:
     2^(n H(k/n)) / (n+1) <= C(n,k) <= 2^(n H(k/n)),
-    H(q) = -q log2 q - (1-q) log2 (1-q), H(0) = H(1) = 0."""
+    H(q) = -q log2 q - (1-q) log2 (1-q), and 2^(n H(k/n)) is exactly
+    n^n / (k^k (n-k)^(n-k))."""
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        q = mpmath.mpf(k) / n
-        h = -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
-        upper = mpmath.mpf(2) ** (n * h)
-        return upper / (n + 1), upper
+    # n^n has about n log2 n bits; the bounds bracket C(n, k), which has the same limit
+    _check_bits(n * math.log2(n), f"the entropy bounds on C({n},{k})")
+    upper = Fraction(n ** n, k ** k * (n - k) ** (n - k))
+    return upper / (n + 1), upper
 
 
-def stirling_combination_bound(l: int, m: int):
-    """Lower bound m^(m(l-1)+1) / (sqrt(l) (m-1)^((m-1)(l-1))) <= C(l*m, l)."""
+def stirling_combination_bound(l: int, m: int) -> Decimal:
+    """Lower bound m^(m(l-1)+1) / (sqrt(l) (m-1)^((m-1)(l-1))) <= C(l*m, l),
+    as a 50-digit Decimal."""
     if l < 1 or m < 2:
         raise ValueError("need l >= 1 and m >= 2")
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        num = mpmath.mpf(m) ** (m * (l - 1) + 1)
-        den = mpmath.sqrt(l) * mpmath.mpf(m - 1) ** ((m - 1) * (l - 1))
-        return num / den
+    c = _CTX
+    den = c.multiply(c.sqrt(l), c.power(m - 1, (m - 1) * (l - 1)))
+    return c.divide(c.power(m, m * (l - 1) + 1), den)
 
 
 # ---------------------------------------------------------------------------
@@ -284,48 +282,37 @@ def table1_values() -> dict:
     }
 
 
+# (feature, size, table1_values key, whether an integer's full digits are shown)
+_TABLE1_ROWS = (
+    ("32-bit state space", "2^32", "state_32", True),
+    ("Permutations of 13", "13!", "fact_13", True),
+    ("Samples of 10 out of 50", "C(50,10)", "c_50_10", True),
+    ("Fraction attainable, 32-bit state", "2^32 / C(50,10)", "frac_32", True),
+    ("64-bit state space", "2^64", "state_64", True),
+    ("Permutations of 21", "21!", "fact_21", True),
+    ("Samples of 10 out of 500", "C(500,10)", "c_500_10", False),
+    ("Fraction attainable, 64-bit state", "2^64 / C(500,10)", "frac_64", True),
+    ("128-bit state space", "2^128", "state_128", False),
+    ("Permutations of 35", "35!", "fact_35", False),
+    ("Samples of 25 out of 500", "C(500,25)", "c_500_25", False),
+    ("Fraction attainable, 128-bit state", "2^128 / C(500,25)", "frac_128", True),
+    ("MT state space", "2^(32*624)", "state_mt", False),
+    ("Permutations of 2084", "2084!", "fact_2084", False),
+    ("Samples of 1000 out of 390 million", "C(3.9e8,1000)", "c_390m_1000", False),
+    ("Fraction attainable, MT state", "2^(32*624) / C(3.9e8,1000)", "frac_mt", True),
+)
+
+
 def table1_report() -> list[Table1Row]:
+    """The table's rows: a fraction in full as a 6-digit decimal, an integer
+    with digit grouping, or nothing where it is impractically long."""
     v = table1_values()
-
-    def int_row(feature, quantity, value, show_full=True):
-        return Table1Row(
-            feature=feature,
-            quantity=quantity,
-            full=f"{value:,}" if show_full else "",
-            sci=sci_string(value, 3),
-        )
-
-    def frac_row(feature, quantity, value):
-        return Table1Row(
-            feature=feature,
-            quantity=quantity,
-            full=decimal_string(value, 6),
-            sci=sci_string(value, 3),
-        )
-
-    return [
-        int_row("32-bit state space", "2^32", v["state_32"]),
-        int_row("Permutations of 13", "13!", v["fact_13"]),
-        int_row("Samples of 10 out of 50", "C(50,10)", v["c_50_10"]),
-        frac_row("Fraction attainable, 32-bit state", "2^32 / C(50,10)", v["frac_32"]),
-        int_row("64-bit state space", "2^64", v["state_64"]),
-        int_row("Permutations of 21", "21!", v["fact_21"]),
-        int_row("Samples of 10 out of 500", "C(500,10)", v["c_500_10"], show_full=False),
-        frac_row("Fraction attainable, 64-bit state", "2^64 / C(500,10)", v["frac_64"]),
-        int_row("128-bit state space", "2^128", v["state_128"], show_full=False),
-        int_row("Permutations of 35", "35!", v["fact_35"], show_full=False),
-        int_row("Samples of 25 out of 500", "C(500,25)", v["c_500_25"], show_full=False),
-        frac_row("Fraction attainable, 128-bit state", "2^128 / C(500,25)", v["frac_128"]),
-        int_row("MT state space", "2^(32*624)", v["state_mt"], show_full=False),
-        int_row("Permutations of 2084", "2084!", v["fact_2084"], show_full=False),
-        int_row(
-            "Samples of 1000 out of 390 million",
-            "C(3.9e8,1000)",
-            v["c_390m_1000"],
-            show_full=False,
-        ),
-        frac_row("Fraction attainable, MT state", "2^(32*624) / C(3.9e8,1000)", v["frac_mt"]),
-    ]
+    rows = []
+    for feature, size, key, show in _TABLE1_ROWS:
+        value = v[key]
+        full = decimal_string(value, 6) if isinstance(value, Fraction) else f"{value:,}" if show else ""
+        rows.append(Table1Row(feature, size, full, sci_string(value, 3)))
+    return rows
 
 
 def render_table1_text(rows: list[Table1Row] | None = None) -> str:
