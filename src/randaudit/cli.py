@@ -9,11 +9,12 @@ reservoir, fresh entropy) is one ``warning:`` line on stderr.  Exit codes,
 each failure with a one-line ``error:`` on stderr, after any warnings: 0
 success;
 2 usage error, including alpha outside (0, 1), zero calibration
-repetitions, an exhausted scripted source, and a degenerate generator
-(DegenerateStreamError: a redraw loop hit its limit); 3 infeasible size,
-including ``bounds`` values wider than 2**18 bits (``--state-bits`` above
-262144, ``--target-perm`` above about 20,400, C(n,k) above about 78,900
-digits).  ``audit sample-frequency --algorithm`` takes all six samplers.
+repetitions, ``bounds`` flags that would be ignored (``--table1`` with a
+row's flags, two target forms), an exhausted scripted source, and a
+degenerate generator (DegenerateStreamError: a redraw loop hit its
+limit); 3 infeasible size, including ``bounds`` values wider than 2**18
+bits (``--state-bits`` above 262144, ``--target-perm`` above about
+20,400, C(n,k) above about 78,900 digits).  ``audit sample-frequency --algorithm`` takes all six samplers.
 """
 
 from __future__ import annotations
@@ -194,7 +195,16 @@ def _cmd_sample(args) -> int:
 # bounds
 
 def _cmd_bounds(args) -> int:
+    # every input is used or refused: the table takes none, a row one target
+    targets = {
+        "--target": args.target is not None,
+        "--target-perm": args.target_perm is not None,
+        "--target-n/--target-k": args.target_n is not None or args.target_k is not None,
+    }
+    forms = [flag for flag, given in targets.items() if given]
     if args.table1:
+        if forms or args.state_bits is not None:
+            raise CliError("--table1 takes no --state-bits or target flags")
         rows = bounds_mod.table1_report()
         if args.format == "csv":
             sys.stdout.write(bounds_mod.render_table1_csv(rows))
@@ -206,6 +216,8 @@ def _cmd_bounds(args) -> int:
 
     if args.state_bits is None:
         raise CliError("pass --table1 or --state-bits with a target")
+    if len(forms) > 1:
+        raise CliError(f"pass one target, not {' and '.join(forms)}")
     if args.target is not None:
         target = args.target
         label = str(args.target)

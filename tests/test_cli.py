@@ -198,6 +198,29 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--state-bits", "32")
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--table1", "--state-bits", "32", "--target", "5"], "--table1 takes no"),
+            (["--table1", "--target-perm", "13"], "--table1 takes no"),
+            (["--table1", "--state-bits", "32", "--format", "csv"], "--table1 takes no"),
+            (["--table1", "--target-k", "3"], "--table1 takes no"),
+            (["--state-bits", "32", "--target", "5", "--target-perm", "13"], "--target and --target-perm"),
+            (["--state-bits", "32", "--target-perm", "13", "--target-n", "50"], "--target-perm and --target-n"),
+            (
+                ["--state-bits", "32", "--target", "5", "--target-n", "50", "--target-k", "10"],
+                "--target and --target-n/--target-k",
+            ),
+        ],
+        ids=["table1-row", "table1-perm", "table1-state-bits", "table1-k", "target-perm", "perm-n", "target-nk"],
+    )
+    def test_inputs_that_would_be_ignored_are_refused(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "bounds", *flags)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestAudit:
     def test_murdoch_json(self, capsys):
