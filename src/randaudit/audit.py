@@ -495,6 +495,16 @@ def derangement_test(
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
     _check_alpha(alpha)
+    # the exact reference is built, and its report text checked, before any
+    # shuffle: n! past MAX_BITS, or D_n / n! past the interpreter's limit on
+    # int-to-text digits (sys.get_int_max_str_digits), fails at once
+    total = bounds.factorial(n)
+    p_derange = Fraction(bounds.derangement_count(n), total)
+    try:
+        p_derange_exact = str(p_derange)
+    except ValueError:
+        raise InfeasibleSizeError(f"the exact derangement rate D_{n}/{n}! has too many digits to print") from None
+    exp_cells = [replications * Fraction(bounds.rencontres_count(n, j), total) for j in range(n + 1)]
 
     t0 = time.perf_counter()
     identity = range(1, n + 1)
@@ -503,17 +513,10 @@ def derangement_test(
         fixed_counts[sum(map(eq, perm, identity))] += 1
     duration = time.perf_counter() - t0
 
-    total = bounds.factorial(n)
-    p_derange = Fraction(bounds.derangement_count(n), total)
     derangements = fixed_counts[0]
     p_binom = _binom_pvalue(derangements, replications, float(p_derange))
 
-    expected_exact = [
-        replications * Fraction(bounds.rencontres_count(n, j), total)
-        for j in range(n + 1)
-    ]
     obs_cells = list(fixed_counts)
-    exp_cells = expected_exact
     # fixing exactly n-1 points is impossible; fold that empty cell into the
     # identity cell, then fold the sparse right tail until expected >= 10
     exp_cells[n] += exp_cells[n - 1]
@@ -534,7 +537,7 @@ def derangement_test(
         },
         reference={
             "derangement_rate": float(p_derange),
-            "derangement_rate_exact": str(p_derange),
+            "derangement_rate_exact": p_derange_exact,
         },
         statistics={"fixed_points_chi2": chi2},
         p_values={"derangement_binomial": p_binom, "fixed_points_chi2": p_chi2},
@@ -670,27 +673,18 @@ def calibration(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     _check_alpha(alpha)
+    # (family, test, its sizes, the p-value it contributes)
+    battery = (
+        ("derangement", derangement_test, (derangement_n, derangement_reps), "derangement_binomial"),
+        ("spearman", spearman_test, (spearman_n, spearman_reps), "mean_zero_normal"),
+        ("sample_frequency", sample_frequency_test, (freq_n, freq_k, freq_reps), "chi2_uniform"),
+    )
     t0 = time.perf_counter()
-    p_lists = {"derangement": [], "spearman": [], "sample_frequency": []}
+    p_lists = {family: [] for family, *_ in battery}
     for r in range(repetitions):
-        g = HashCounterGenerator(f"{base_seed}:derangement:{r}")
-        p_lists["derangement"].append(
-            derangement_test(g, derangement_n, derangement_reps, alpha).p_values[
-                "derangement_binomial"
-            ]
-        )
-        g = HashCounterGenerator(f"{base_seed}:spearman:{r}")
-        p_lists["spearman"].append(
-            spearman_test(g, spearman_n, spearman_reps, alpha).p_values[
-                "mean_zero_normal"
-            ]
-        )
-        g = HashCounterGenerator(f"{base_seed}:sample_frequency:{r}")
-        p_lists["sample_frequency"].append(
-            sample_frequency_test(g, freq_n, freq_k, freq_reps, alpha=alpha).p_values[
-                "chi2_uniform"
-            ]
-        )
+        for family, test, sizes, key in battery:
+            report = test(HashCounterGenerator(f"{base_seed}:{family}:{r}"), *sizes, alpha=alpha)
+            p_lists[family].append(report.p_values[key])
     duration = time.perf_counter() - t0
 
     rejections = {name: sum(1 for p in ps if p < alpha) for name, ps in p_lists.items()}

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,23 @@ def test_degenerate_fractions_finish_vitter_z(argv):
 )
 def test_oversized_bounds_exit_3(argv):
     assert_one_line_error(run_cli(*argv), 3)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        # D_1700 / 1700! has about 4,700 digits, past the int-to-text limit
+        (1700, "too many digits to print"),
+        (30000, "wider than the 262144-bit limit"),
+    ],
+)
+def test_oversized_derangement_reference_exits_3_before_shuffling(n, message):
+    # 10**4 shuffles of 1,700 items take about 18 s; the reference is checked first
+    t0 = time.perf_counter()
+    proc = run_cli("audit", "derangement", "--seed", "1", "--n", str(n), "--reps", "10000")
+    assert time.perf_counter() - t0 < 5
+    assert_one_line_error(proc, 3)
+    assert message in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize(
