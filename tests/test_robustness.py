@@ -298,12 +298,12 @@ def stream_file(tmp_path_factory):
 
 
 @st.composite
-def generator_flags(draw):
-    prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg", "scripted"]))
+def generator_flags(draw, scripted=True, seeds=SIGNED):
+    prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg", "scripted"][: 5 if scripted else 4]))
     if prng == "scripted":
         return ["--scripted", SCRIPTED]
     if prng != "lcg":
-        return ["--prng", prng, "--seed", str(draw(SIGNED))]
+        return ["--prng", prng, "--seed", str(draw(seeds))]
     fields = [str(draw(LCG_FIELD)) for _ in range(4)]
     return ["--prng", "lcg", "--seed", fields[0], "--a", fields[1], "--c", fields[2], "--m", fields[3]]
 
@@ -331,18 +331,106 @@ def sample_argv(draw):
     return argv
 
 
+def assert_clean_exit(proc):
+    """Exit 0, 2 or 3 without a traceback: one line per warning, then one
+    error line when the run failed."""
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    if proc.returncode:
+        assert lines and lines.pop().startswith("error: "), proc.stderr
+    assert all(line.startswith("warning: ") for line in lines), proc.stderr
+
+
 @given(argv=st.one_of(gen_argv(), sample_argv()))
 @settings(max_examples=80, deadline=None)
 def test_gen_and_sample_argv_fuzz(scripted_file, stream_file, argv):
     paths = {SCRIPTED: scripted_file, STREAM: stream_file}
     proc = run_cli(*(paths.get(arg, arg) for arg in argv))
-    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert_clean_exit(proc)
     if STREAM in argv and ("--n" in argv or argv[argv.index("--algo") + 1] not in ("reservoir-r", "vitter-z")):
         # a --file that would be ignored is refused before the header
         assert proc.returncode == 2 and proc.stdout == "", proc.stdout
-    assert "Traceback" not in proc.stdout + proc.stderr
-    # one line per warning, then one error line when the run failed
-    lines = proc.stderr.splitlines()
-    if proc.returncode:
-        assert lines and lines.pop().startswith("error: "), proc.stderr
-    assert all(line.startswith("warning: ") for line in lines), proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The same fuzz over audit and bounds, at sizes that each run in well under
+# a second: one Murdoch run, 10**4 small shuffles, one calibration
+# repetition.  Spearman stays at n <= 12 (2 * 10**4 shuffles of 1,700 items
+# take over 30 s); derangement also tries n = 1700, whose reference is
+# refused before any shuffle.
+
+ALPHA = st.sampled_from(["0", "0.5", "1", "nan"])
+SMALL = st.integers(min_value=-2, max_value=12)
+
+
+@st.composite
+def audit_argv(draw):
+    command = draw(st.sampled_from(["murdoch", "coverage", "derangement", "spearman", "sample-frequency", "calibration"]))
+    argv = ["audit", command]
+    gen_flags = generator_flags(scripted=False, seeds=st.integers(min_value=-1, max_value=999))
+    if command == "murdoch":
+        argv += [*draw(gen_flags), "--method", draw(st.sampled_from(["floor", "mask"]))]
+        argv += ["--reps", draw(st.sampled_from(["99999", "100000"]))]
+    elif command == "coverage":
+        m = draw(st.integers(min_value=-1, max_value=300))
+        fields = st.integers(min_value=-1, max_value=max(m, 1))
+        argv += ["--a", str(draw(fields)), "--c", str(draw(fields)), "--m", str(m), "--n", str(draw(SMALL))]
+    elif command == "calibration":
+        argv += ["--seed", str(draw(SIGNED)), "--repetitions", draw(st.sampled_from(["-1", "0", "1"]))]
+    elif command == "sample-frequency":
+        argv += [*draw(gen_flags), "--algorithm", draw(st.sampled_from(sorted(ALGORITHMS)))]
+        argv += ["--n", str(draw(st.integers(min_value=-1, max_value=7)))]
+        argv += ["--k", str(draw(st.integers(min_value=-1, max_value=7)))]
+        argv += ["--method", draw(st.sampled_from(METHODS))]
+        argv += ["--reps", str(draw(st.integers(min_value=-1, max_value=2000)))]
+    else:
+        sizes = SMALL | st.just(1700) if command == "derangement" else SMALL
+        argv += [*draw(gen_flags), "--n", str(draw(sizes)), "--reps", "10000"]
+    if command not in ("murdoch", "coverage") and draw(st.booleans()):
+        argv += ["--alpha", draw(ALPHA)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+@st.composite
+def bounds_argv(draw):
+    """The table, one row, or any mix of the flags, conflicting ones included."""
+    state_bits = ["--state-bits", str(draw(st.integers(min_value=-2, max_value=300) | st.just(300_000)))]
+    targets = [
+        ["--target", str(draw(st.integers(min_value=-2, max_value=10 ** 30)))],
+        ["--target-perm", str(draw(SMALL | st.just(30_000)))],
+        ["--target-n", str(draw(st.integers(min_value=-2, max_value=60))), "--target-k", str(draw(SMALL))],
+    ]
+    shape = draw(st.sampled_from(["table", "row", "mix"]))
+    if shape == "table":
+        flags = ["--table1"]
+    elif shape == "row":
+        flags = state_bits + draw(st.sampled_from(targets))
+    else:
+        # any subset of the flags, each with its value
+        pairs = [["--table1"], state_bits, *targets[:2], targets[2][:2], targets[2][2:]]
+        flags = [arg for pair in pairs if draw(st.booleans()) for arg in pair]
+    return ["bounds", *flags, "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+
+
+def is_refused_bounds_argv(argv):
+    """--table1 with a row's flags, or a row with more than one target form."""
+    forms = ("--target" in argv) + ("--target-perm" in argv) + ("--target-n" in argv or "--target-k" in argv)
+    if "--table1" in argv:
+        return forms > 0 or "--state-bits" in argv
+    return forms > 1
+
+
+@given(argv=audit_argv())
+@settings(max_examples=40, deadline=None)
+def test_audit_argv_fuzz(argv):
+    assert_clean_exit(run_cli(*argv))
+
+
+@given(argv=bounds_argv())
+@settings(max_examples=25, deadline=None)
+def test_bounds_argv_fuzz(argv):
+    proc = run_cli(*argv)
+    assert_clean_exit(proc)
+    if is_refused_bounds_argv(argv):
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
