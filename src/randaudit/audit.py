@@ -495,9 +495,8 @@ def derangement_test(
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
     _check_alpha(alpha)
-    # the exact reference is built, and its report text checked, before any
-    # shuffle: n! past MAX_BITS, or D_n / n! past the interpreter's limit on
-    # int-to-text digits (sys.get_int_max_str_digits), fails at once
+    # the exact reference and its report text come before any shuffle, so n!
+    # past MAX_BITS, or D_n / n! past sys.get_int_max_str_digits(), fails at once
     total = bounds.factorial(n)
     p_derange = Fraction(bounds.derangement_count(n), total)
     try:

@@ -14,7 +14,9 @@ row's flags, two target forms), an exhausted scripted source, and a
 degenerate generator (DegenerateStreamError: a redraw loop hit its
 limit); 3 infeasible size, including ``bounds`` values wider than 2**18
 bits (``--state-bits`` above 262144, ``--target-perm`` above about
-20,400, C(n,k) above about 78,900 digits).  ``audit sample-frequency --algorithm`` takes all six samplers.
+20,400, C(n,k) above about 78,900 digits) and a derangement audit whose
+exact rate D_n / n! is too long to print.  ``audit sample-frequency
+--algorithm`` takes all six samplers.
 """
 
 from __future__ import annotations
