@@ -210,7 +210,6 @@ def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:
 # overflows near 10**999999 (10**9 ** 10**9 is about 10**(9 * 10**9))
 _CTX = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-_E = _CTX.exp(1)
 
 
 def stirling_bounds(n: int) -> tuple[Decimal, Decimal]:
@@ -219,8 +218,9 @@ def stirling_bounds(n: int) -> tuple[Decimal, Decimal]:
     if n < 1:
         raise ValueError("n must be >= 1")
     c = _CTX
-    core = c.multiply(c.multiply(c.power(n, n), c.sqrt(n)), c.exp(-n))
-    return c.multiply(c.sqrt(c.multiply(2, _PI)), core), c.multiply(_E, core)
+    root = c.multiply(c.power(n, n), c.sqrt(n))  # n^(n+1/2)
+    lower = c.multiply(c.multiply(c.sqrt(c.multiply(2, _PI)), root), c.exp(-n))
+    return lower, c.multiply(root, c.exp(1 - n))
 
 
 def entropy_bounds(n: int, k: int) -> tuple[Fraction, Fraction]:

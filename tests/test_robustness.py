@@ -299,7 +299,7 @@ def stream_file(tmp_path_factory):
 
 @st.composite
 def generator_flags(draw, scripted=True, seeds=SIGNED):
-    prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg", "scripted"][: 5 if scripted else 4]))
+    prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg"] + ["scripted"] * scripted))
     if prng == "scripted":
         return ["--scripted", SCRIPTED]
     if prng != "lcg":
