@@ -1,11 +1,12 @@
 """End-to-end bias experiments with reproducible reports.
 
-Every experiment is registered by name in ``EXPERIMENTS`` and returns an
-AuditReport whose ``config`` dict is enough to rerun it bit-for-bit via
-``run_experiment``; ``reports_equal`` compares two reports ignoring only
-wall-clock duration.  Replications can be sharded across processes by
-deriving per-shard hash-counter seeds as ``f"{base}:{shard}"``;
-aggregation is order-independent.
+Every experiment is registered by name in ``EXPERIMENTS``, and the
+registration frames its AuditReport: ``seed``, ``config`` (enough to
+rerun it bit-for-bit via ``run_experiment``) and ``duration_s``, the
+whole call's wall time and the one field ``reports_equal`` ignores.
+Replications can be sharded across processes by deriving per-shard
+hash-counter seeds as ``f"{base}:{shard}"``; aggregation is
+order-independent.
 """
 
 from __future__ import annotations
@@ -60,16 +61,16 @@ DEFAULT_ALPHA = 0.001
 class AuditReport:
     """One experiment run: inputs, observed statistics, and verdict.
 
-    The seed record plus config reproduce the run exactly; duration is the
-    only field excluded from reproducibility comparisons.  Experiments
-    leave ``experiment`` and ``config`` to their registration (see
-    _experiment).
+    The seed record plus config reproduce the run exactly; ``duration_s``,
+    the whole call's wall time, is the only field equality ignores.  The
+    registration (see _experiment) fills in ``experiment``, ``config``,
+    ``duration_s`` and, for a generator, ``seed``.
     """
 
-    seed: str
     replications: int
     observed: dict
     reference: dict
+    seed: str = ""
     experiment: str = ""
     config: dict = field(default_factory=dict)
     statistics: dict = field(default_factory=dict)
@@ -126,10 +127,13 @@ EXPERIMENTS: dict = {}
 def _experiment(name: str):
     """Register an experiment in EXPERIMENTS under ``name``.
 
-    The registered function fills in its report's ``experiment`` and
-    ``config``.  The config holds every argument of the call, defaults
-    included, with a generator recorded as its spec() under "generator"
-    and LCG parameters as m, a and c; run_experiment reads it back.
+    The registered function is the one place that frames a report.  It
+    checks ``alpha`` (0 < alpha < 1) before the experiment runs, then fills
+    in ``experiment``, ``config``, ``seed`` and ``duration_s``.  The config
+    holds every argument of the call, defaults included, with a generator
+    recorded as its spec() under "generator" and LCG parameters as m, a
+    and c; run_experiment reads it back.  The seed is that spec as
+    sorted-key JSON, and the duration the whole call's wall time.
     """
 
     def register(fn):
@@ -137,6 +141,7 @@ def _experiment(name: str):
 
         @functools.wraps(fn)
         def run(*args, **kwargs):
+            t0 = time.perf_counter()
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
             config = {"experiment": name}
@@ -147,24 +152,19 @@ def _experiment(name: str):
                     config.update(m=value.m, a=value.a, c=value.c)
                 else:
                     config[key] = value
+            if "alpha" in config and not 0 < config["alpha"] < 1:
+                raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {config['alpha']}")
             report = fn(*args, **kwargs)
             report.experiment, report.config = name, config
+            if "generator" in config:
+                report.seed = json.dumps(config["generator"], sort_keys=True)
+            report.duration_s = time.perf_counter() - t0
             return report
 
         EXPERIMENTS[name] = run
         return run
 
     return register
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
-
-
-def _seed_record(gen: Generator) -> str:
-    spec = gen.spec()
-    return json.dumps(spec, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,6 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     if method not in ("floor", "mask"):
         raise ValueError("method must be floor or mask")
 
-    t0 = time.perf_counter()
     num, den = MURDOCH_SCALE
     even = 0
     if method == "floor":
@@ -396,14 +395,12 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
             even += sum([q * w // d & 1 for w in gen.words(chunk)])
         else:
             even += chunk - sum([v % 2 for v in randints(repeat(MURDOCH_M, chunk))])
-    duration = time.perf_counter() - t0
 
     p_even = even / replications
     se = math.sqrt(float(reference) * (1 - float(reference)) / replications)
     z = (p_even - float(reference)) / se
     tolerance = 0.005
     return AuditReport(
-        seed=_seed_record(gen),
         replications=replications,
         observed={"p_even": p_even, "even_count": even},
         reference={
@@ -415,7 +412,6 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
         statistics={"z": z},
         p_values={"binomial_vs_reference": _binom_pvalue(even, replications, float(reference))},
         passed=abs(p_even - float(reference)) <= tolerance,
-        duration_s=duration,
     )
 
 
@@ -444,7 +440,6 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     if n > 8:
         raise InfeasibleSizeError("need n <= 8 to enumerate permutations")
 
-    t0 = time.perf_counter()
     flags = []
     if not full_period(params):
         flags.append("not_full_period")
@@ -452,7 +447,6 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     for register in range(params.m):
         [perm] = shuffles(RandomSource(LcgGenerator(params, register)), n, 1)
         seen.add(tuple(perm))
-    duration = time.perf_counter() - t0
 
     total = bounds.factorial(n)
     predicted_max = min(Fraction(1), Fraction(params.m, total))
@@ -472,7 +466,6 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
         },
         passed=len(seen) <= min(params.m, total),
         flags=flags,
-        duration_s=duration,
     )
 
 
@@ -494,7 +487,6 @@ def derangement_test(
         raise ValueError("n must be >= 2")
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
-    _check_alpha(alpha)
     # the exact reference and its report text come before any shuffle, so n!
     # past MAX_BITS, or D_n / n! past sys.get_int_max_str_digits(), fails at once
     total = bounds.factorial(n)
@@ -505,12 +497,10 @@ def derangement_test(
         raise InfeasibleSizeError(f"the exact derangement rate D_{n}/{n}! has too many digits to print") from None
     exp_cells = [replications * Fraction(bounds.rencontres_count(n, j), total) for j in range(n + 1)]
 
-    t0 = time.perf_counter()
     identity = range(1, n + 1)
     fixed_counts = [0] * (n + 1)
     for perm in shuffles(RandomSource(gen), n, replications):
         fixed_counts[sum(map(eq, perm, identity))] += 1
-    duration = time.perf_counter() - t0
 
     derangements = fixed_counts[0]
     p_binom = _binom_pvalue(derangements, replications, float(p_derange))
@@ -528,7 +518,6 @@ def derangement_test(
     chi2, p_chi2 = _chisquare(obs_cells, [float(e) for e in exp_cells])
 
     return AuditReport(
-        seed=_seed_record(gen),
         replications=replications,
         observed={
             "derangement_rate": derangements / replications,
@@ -541,7 +530,6 @@ def derangement_test(
         statistics={"fixed_points_chi2": chi2},
         p_values={"derangement_binomial": p_binom, "fixed_points_chi2": p_chi2},
         passed=p_binom >= alpha,
-        duration_s=duration,
     )
 
 
@@ -560,27 +548,22 @@ def spearman_test(
         raise ValueError("n must be >= 3")
     if replications < 10 ** 4:
         raise ValueError("need at least 1e4 replications")
-    _check_alpha(alpha)
 
-    t0 = time.perf_counter()
     total_rho = 0.0
     perms = shuffles(RandomSource(gen), n, 2 * replications)
     for p in perms:
         total_rho += spearman_rho(p, next(perms))
-    duration = time.perf_counter() - t0
 
     mean_rho = total_rho / replications
     z = mean_rho * math.sqrt(replications * (n - 1))
     p_val = _normal_two_sided(z)
     return AuditReport(
-        seed=_seed_record(gen),
         replications=replications,
         observed={"mean_rho": mean_rho},
         reference={"mean_rho": 0.0, "variance_per_pair": 1.0 / (n - 1)},
         statistics={"z": z},
         p_values={"mean_zero_normal": p_val},
         passed=p_val >= alpha,
-        duration_s=duration,
     )
 
 
@@ -609,10 +592,8 @@ def sample_frequency_test(
         raise InfeasibleSizeError(f"C({n},{k}) = {cells} cells is too many")
     if replications < 100 * cells:
         raise ValueError(f"need at least {100 * cells} replications for {cells} cells")
-    _check_alpha(alpha)
     spec = SampleSpec(n, k, algorithm=algorithm)
 
-    t0 = time.perf_counter()
     index = {
         frozenset(c): i
         for i, c in enumerate(itertools.combinations(range(1, n + 1), k))
@@ -621,21 +602,18 @@ def sample_frequency_test(
     src = RandomSource(gen, method=method)
     for _ in range(replications):
         counts[index[spec.run(src).as_set()]] += 1
-    duration = time.perf_counter() - t0
 
     if cells == 1:  # k = n: a single possible sample, nothing to test
         chi2, p_val = 0.0, 1.0
     else:
         chi2, p_val = _chisquare(counts)
     return AuditReport(
-        seed=_seed_record(gen),
         replications=replications,
         observed={"min_cell": min(counts), "max_cell": max(counts)},
         reference={"cells": cells, "expected_per_cell": replications / cells},
         statistics={"chi2": chi2, "df": cells - 1},
         p_values={"chi2_uniform": p_val},
         passed=p_val >= alpha,
-        duration_s=duration,
     )
 
 
@@ -671,20 +649,17 @@ def calibration(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    _check_alpha(alpha)
     # (family, test, its sizes, the p-value it contributes)
     battery = (
         ("derangement", derangement_test, (derangement_n, derangement_reps), "derangement_binomial"),
         ("spearman", spearman_test, (spearman_n, spearman_reps), "mean_zero_normal"),
         ("sample_frequency", sample_frequency_test, (freq_n, freq_k, freq_reps), "chi2_uniform"),
     )
-    t0 = time.perf_counter()
     p_lists = {family: [] for family, *_ in battery}
     for r in range(repetitions):
         for family, test, sizes, key in battery:
             report = test(HashCounterGenerator(f"{base_seed}:{family}:{r}"), *sizes, alpha=alpha)
             p_lists[family].append(report.p_values[key])
-    duration = time.perf_counter() - t0
 
     rejections = {name: sum(1 for p in ps if p < alpha) for name, ps in p_lists.items()}
     total_rejections = sum(rejections.values())
@@ -698,7 +673,6 @@ def calibration(
         },
         reference={"alpha": alpha, "max_rejections": 2},
         passed=total_rejections <= 2,
-        duration_s=duration,
     )
 
 
