@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import eq
 
 from . import bounds
@@ -495,7 +495,8 @@ def derangement_test(
         p_derange_exact = str(p_derange)
     except ValueError:
         raise InfeasibleSizeError(f"the exact derangement rate D_{n}/{n}! has too many digits to print") from None
-    exp_cells = [replications * Fraction(bounds.rencontres_count(n, j), total) for j in range(n + 1)]
+    # the expected cell counts times n!, exact integers
+    exp_cells = [replications * cell for cell in bounds.rencontres_counts(n)]
 
     identity = range(1, n + 1)
     fixed_counts = [0] * (n + 1)
@@ -511,11 +512,12 @@ def derangement_test(
     exp_cells[n] += exp_cells[n - 1]
     obs_cells[n] += obs_cells[n - 1]
     del exp_cells[n - 1], obs_cells[n - 1]
-    while len(exp_cells) > 2 and exp_cells[-1] < 10:
+    while len(exp_cells) > 2 and exp_cells[-1] < 10 * total:
         exp_cells[-2] += exp_cells[-1]
         obs_cells[-2] += obs_cells[-1]
         del exp_cells[-1], obs_cells[-1]
-    chi2, p_chi2 = _chisquare(obs_cells, [float(e) for e in exp_cells])
+    # int / int is correctly rounded, as float(Fraction(e, total)) is
+    chi2, p_chi2 = _chisquare(obs_cells, [e / total for e in exp_cells])
 
     return AuditReport(
         replications=replications,
@@ -585,8 +587,6 @@ def sample_frequency_test(
     algorithms may be audited; passing method="floor" or "round"
     demonstrates the biased integer mappings inside the sampler.
     """
-    import itertools
-
     cells = bounds.binomial(n, k)
     if cells > 10 ** 4:
         raise InfeasibleSizeError(f"C({n},{k}) = {cells} cells is too many")
@@ -596,7 +596,7 @@ def sample_frequency_test(
 
     index = {
         frozenset(c): i
-        for i, c in enumerate(itertools.combinations(range(1, n + 1), k))
+        for i, c in enumerate(combinations(range(1, n + 1), k))
     }
     counts = [0] * cells
     src = RandomSource(gen, method=method)

@@ -27,6 +27,7 @@ __all__ = [
     "power",
     "derangement_count",
     "rencontres_count",
+    "rencontres_counts",
     "sci_string",
     "decimal_string",
     "AttainabilityReport",
@@ -94,6 +95,16 @@ def rencontres_count(n: int, j: int) -> int:
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
     return binomial(n, j) * derangement_count(n - j)
+
+
+def rencontres_counts(n: int) -> list[int]:
+    """rencontres_count(n, j) for j = 0..n, from one pass over D_0..D_n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    d = [1, 0]
+    for i in range(2, n + 1):
+        d.append((i - 1) * (d[-1] + d[-2]))
+    return [math.comb(n, j) * d[n - j] for j in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

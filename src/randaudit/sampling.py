@@ -18,10 +18,11 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
-from .errors import DegenerateStreamError, ShortStreamWarning
+from .errors import DegenerateStreamError, InfeasibleSizeError, ShortStreamWarning
 from .integers import DRAW_CHUNK
 
 __all__ = [
+    "MAX_POPULATION",
     "Sample",
     "SampleSpec",
     "ScriptedSource",
@@ -147,6 +148,15 @@ def _accounted(source, fn):
 # ---------------------------------------------------------------------------
 # Whole-population algorithms
 
+# The largest n that pikk and shuffles, which hold n items in a list, take
+MAX_POPULATION = 10 ** 8
+
+
+def _check_population(n: int) -> None:
+    if n > MAX_POPULATION:
+        raise InfeasibleSizeError(f"population size n = {n} is above the limit of {MAX_POPULATION:,}")
+
+
 def pikk(source, n: int, k: int) -> Sample:
     """Permute indices and keep k: assign each index a fraction, sort, take
     the first k.
@@ -158,6 +168,7 @@ def pikk(source, n: int, k: int) -> Sample:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    _check_population(n)
 
     def run():
         keys = source.fractions(n)
@@ -179,6 +190,7 @@ def shuffles(source, n: int, count: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_population(n)
     if count * (n - 1) <= DRAW_CHUNK:
         draws = iter(source.randints(list(range(n, 1, -1)) * count))
     else:

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randaudit.audit import (
+    EXPERIMENTS,
     MURDOCH_M,
     MURDOCH_SCALE,
     AuditReport,
@@ -257,3 +260,50 @@ class TestReproducibility:
         row = r.csv_row()
         assert len(row) == len(AuditReport.CSV_COLUMNS)
         assert row[0] == "coverage"
+
+
+# experiment -> (a maker of its generator, or None, and its other arguments
+# at sizes that run in well under a second)
+SMALL_RUNS = {
+    "murdoch": (lambda: Mt19937Generator(3), ("mask", 10 ** 5)),
+    "coverage": (None, (LcgParams(m=64, a=5, c=1), 4)),
+    "derangement": (lambda: HashCounterGenerator("frame"), (5, 10 ** 4)),
+    "spearman": (lambda: HashCounterGenerator("frame"), (5, 10 ** 4)),
+    "sample_frequency": (lambda: HashCounterGenerator("frame"), (4, 2, 600)),
+    "calibration": (None, ("frame", 1)),
+}
+TAKE_ALPHA = sorted(name for name in SMALL_RUNS if "alpha" in inspect.signature(EXPERIMENTS[name]).parameters)
+
+
+def small_call(name):
+    """The generator of one small run, or None, and all its arguments."""
+    make, args = SMALL_RUNS[name]
+    gen = make() if make else None
+    return gen, (gen, *args) if gen else args
+
+
+class TestReportFrame:
+    def test_small_runs_cover_every_experiment(self):
+        assert SMALL_RUNS.keys() == EXPERIMENTS.keys()
+        assert TAKE_ALPHA == ["calibration", "derangement", "sample_frequency", "spearman"]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_registry_fills_seed_config_and_duration(self, name):
+        gen, args = small_call(name)
+        report = EXPERIMENTS[name](*args)
+        assert report.experiment == name == report.config["experiment"]
+        assert report.duration_s > 0
+        if gen is None:
+            assert report.seed and "generator" not in report.config
+        else:
+            assert report.seed == json.dumps(gen.spec(), sort_keys=True)
+            assert json.loads(report.seed) == report.config["generator"]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("name", TAKE_ALPHA)
+    def test_registry_checks_alpha_before_any_draw(self, name, alpha):
+        gen, args = small_call(name)
+        with pytest.raises(ValueError, match="alpha"):
+            EXPERIMENTS[name](*args, alpha=alpha)
+        if gen is not None:
+            assert gen.words_emitted == 0

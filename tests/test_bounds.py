@@ -14,6 +14,7 @@ from randaudit.bounds import (
     factorial,
     power,
     rencontres_count,
+    rencontres_counts,
     render_table1_csv,
     render_table1_text,
     sci_string,
@@ -81,6 +82,13 @@ class TestExactCombinatorics:
         for n in range(1, 10):
             assert sum(rencontres_count(n, j) for j in range(n + 1)) == factorial(n)
         assert rencontres_count(5, 4) == 0  # exactly n-1 fixed points is impossible
+
+    def test_rencontres_cells_in_one_pass(self):
+        # the derangement audit's expected cells, one list per n
+        for n in range(0, 41):
+            assert rencontres_counts(n) == [rencontres_count(n, j) for j in range(n + 1)]
+        with pytest.raises(ValueError):
+            rencontres_counts(-1)
 
 
 class TestAttainability:

@@ -6,6 +6,7 @@ hang fails the test instead of stalling the suite.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -15,24 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randaudit import audit
+from randaudit import audit, sampling
 from randaudit.cli import _ALGO_NAMES
 from randaudit.errors import DegenerateStreamError, InfeasibleSizeError
 from randaudit.generators import HashCounterGenerator, LcgGenerator, LcgParams, ScriptedGenerator
 from randaudit.integers import DRAW_CHUNK, MAX_REJECTIONS, METHODS, RandomSource, randint_mask
-from randaudit.sampling import ALGORITHMS, SampleSpec, random_indices
+from randaudit.sampling import ALGORITHMS, MAX_POPULATION, SampleSpec, pikk, random_indices, shuffles
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv):
+def run_cli(*argv, max_bytes=None):
+    """Run the CLI in a child, its address space capped at ``max_bytes``
+    when given, so a regression to a huge allocation fails fast."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cap = None if max_bytes is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run(
         [sys.executable, "-m", "randaudit.cli", *argv],
         capture_output=True,
         text=True,
         timeout=10,
         env=env,
+        preexec_fn=cap,
     )
 
 
@@ -111,6 +116,23 @@ def test_oversized_derangement_reference_exits_3_before_shuffling(n, message):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "fisher-yates"),
+        ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "pikk"),
+        ("audit", "spearman", "--seed", "1", "--n", "100000000000", "--reps", "10000"),
+    ],
+)
+def test_population_no_list_can_hold_exits_3(argv):
+    # the argv fuzz below draws n <= 3 * DRAW_CHUNK, so it cannot reach
+    # these; the cap turns a regression to allocating n items into a quick
+    # MemoryError
+    proc = run_cli(*argv, max_bytes=800 * 2 ** 20)
+    assert_one_line_error(proc, 3)
+    assert f"limit of {MAX_POPULATION:,}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("audit", "spearman", "--seed", "1", "--alpha", "nan"),
         ("audit", "derangement", "--seed", "1", "--alpha", "1"),
         ("audit", "sample-frequency", "--seed", "1", "--alpha", "0", "--reps", "1000"),
@@ -161,6 +183,21 @@ class TestInputChecks:
             audit.sample_frequency_test(gen, 4, 2, 600, alpha=alpha)
         with pytest.raises(ValueError):
             audit.calibration("alpha", repetitions=1, alpha=alpha)
+
+    def test_population_limit_checked_before_any_draw(self, monkeypatch):
+        # a small limit, so a missing check costs no memory here
+        monkeypatch.setattr(sampling, "MAX_POPULATION", 10)
+        src = RandomSource(HashCounterGenerator("huge"))
+        assert len(next(shuffles(src, 10, 1))) == len(pikk(src, 10, 10).items) == 10
+        src = RandomSource(HashCounterGenerator("huge"))
+        with pytest.raises(InfeasibleSizeError):
+            next(shuffles(src, 11, 1))
+        with pytest.raises(InfeasibleSizeError):
+            pikk(src, 11, 1)
+        gen = HashCounterGenerator("huge")
+        with pytest.raises(InfeasibleSizeError):
+            audit.spearman_test(gen, 11, 10 ** 4)
+        assert src.words_used == gen.words_emitted == 0
 
     def test_replay_checks_too(self):
         report = audit.spearman_test(HashCounterGenerator("replay"), 4, 10 ** 4)
