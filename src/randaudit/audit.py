@@ -446,7 +446,9 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     seen = set()
     for register in range(params.m):
         [perm] = shuffles(RandomSource(LcgGenerator(params, register)), n, 1)
-        seen.add(tuple(perm))
+        # items are at most 8, so a byte each: up to 2**16 permutations
+        # held in about half the memory of tuples
+        seen.add(bytes(perm))
 
     total = bounds.factorial(n)
     predicted_max = min(Fraction(1), Fraction(params.m, total))

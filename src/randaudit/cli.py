@@ -15,10 +15,11 @@ degenerate generator (DegenerateStreamError: a redraw loop hit its
 limit); 3 infeasible size, including ``bounds`` values wider than 2**18
 bits (``--state-bits`` above 262144, ``--target-perm`` above about
 20,400, C(n,k) above about 78,900 digits), a derangement audit whose
-exact rate D_n / n! is too long to print, and a population above
-``sampling.MAX_POPULATION`` (10**8) for ``pikk``, ``fisher-yates`` or a
-permutation audit.  ``audit sample-frequency --algorithm`` takes all
-six samplers.
+exact rate D_n / n! is too long to print, and a size above
+``sampling.MAX_POPULATION`` (10**8): n for ``pikk``, ``fisher-yates``, a
+permutation audit, or ``reservoir-r`` and ``vitter-z`` streaming 1..n;
+k for ``random-indices`` and ``cormen``.  ``audit sample-frequency
+--algorithm`` takes all six samplers.
 """
 
 from __future__ import annotations

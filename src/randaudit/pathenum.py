@@ -215,11 +215,11 @@ _BRANCH_RULES = {"random_indices": _distinct_draws, "vitter_z": _skips_and_slots
 def _pikk_subsets(spec: SampleSpec):
     n = spec.n
     counts: dict = defaultdict(int)
-    for order in itertools.permutations(range(n)):
-        # item with rank r in the order gets the r-th smallest fraction
-        fracs = [0.0] * n
-        for rank, item in enumerate(order):
-            fracs[item] = (rank + 1) / (n + 2)
+    # pikk's output depends only on the rank order of its n keys.  The n
+    # rank fractions are distinct, so each arrangement of them gives the
+    # items one rank order, and the n! arrangements give every order once.
+    ranks = [(r + 1) / (n + 2) for r in range(n)]
+    for fracs in itertools.permutations(ranks):
         counts[spec.run(ScriptedSource(fractions=fracs)).as_set()] += 1
     total = math.factorial(n)
     return {subset: Fraction(count, total) for subset, count in counts.items()}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 from .errors import DegenerateStreamError, InfeasibleSizeError, ShortStreamWarning
 from .integers import DRAW_CHUNK
@@ -38,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """Algorithm output plus an accounting of the randomness it consumed.
 
     items: selected indices (or stream items) in the algorithm's own order;
@@ -47,6 +47,11 @@ class Sample:
     (words times the word width, 0 for scripted test sources); draws:
     integer draws consumed; short: a reservoir was requested from a stream
     shorter than k.
+
+    A named tuple: its fields cannot be assigned, it is cheaper to build
+    than a frozen dataclass (every sampler call builds one), and like any
+    tuple it compares and hashes equal to a plain tuple of the same five
+    values.
     """
 
     items: tuple
@@ -136,25 +141,20 @@ def _accounted(source, fn):
     d0 = source.draws
     items, short = fn()
     words = source.words_used - w0
-    return Sample(
-        items=tuple(items),
-        words=words,
-        draws=source.draws - d0,
-        bits=words * source.width,
-        short=short,
-    )
+    return Sample(tuple(items), words, source.draws - d0, words * source.width, short)
 
 
 # ---------------------------------------------------------------------------
 # Whole-population algorithms
 
-# The largest n that pikk and shuffles, which hold n items in a list, take
+# The largest n (or k) a sampler takes where it holds n (or k) items in a
+# list, and the largest n SampleSpec.run streams record by record
 MAX_POPULATION = 10 ** 8
 
 
-def _check_population(n: int) -> None:
-    if n > MAX_POPULATION:
-        raise InfeasibleSizeError(f"population size n = {n} is above the limit of {MAX_POPULATION:,}")
+def _check_population(size: int, name: str = "population size n") -> None:
+    if size > MAX_POPULATION:
+        raise InfeasibleSizeError(f"{name} = {size} is above the limit of {MAX_POPULATION:,}")
 
 
 def pikk(source, n: int, k: int) -> Sample:
@@ -191,7 +191,10 @@ def shuffles(source, n: int, count: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_population(n)
-    if count * (n - 1) <= DRAW_CHUNK:
+    if count == 1 and n <= DRAW_CHUNK:
+        # one shuffle reads its draws once, so the list needs no iterator
+        draws = source.randints(range(n, 1, -1))
+    elif count * (n - 1) <= DRAW_CHUNK:
         draws = iter(source.randints(list(range(n, 1, -1)) * count))
     else:
         ranges = chain.from_iterable(repeat(range(n, 1, -1), count))
@@ -235,6 +238,7 @@ def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sa
         raise ValueError("need n >= 1 and k >= 0")
     if not with_replacement and k > n:
         raise ValueError("k > n without replacement")
+    _check_population(k, "sample size k")
 
     def run():
         if with_replacement:
@@ -268,6 +272,7 @@ def cormen_sample(source, n: int, k: int) -> Sample:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    _check_population(k, "sample size k")
 
     def run():
         chosen: set[int] = set()
@@ -418,5 +423,6 @@ class SampleSpec:
         if stream is None and self.algorithm in STREAMING_ALGORITHMS:
             if self.n is None:
                 raise ValueError("streaming algorithms need a stream or n")
+            _check_population(self.n)
             stream = range(1, self.n + 1)
         return ALGORITHMS[self.algorithm](self, source, stream)

@@ -21,7 +21,16 @@ from randaudit.cli import _ALGO_NAMES
 from randaudit.errors import DegenerateStreamError, InfeasibleSizeError
 from randaudit.generators import HashCounterGenerator, LcgGenerator, LcgParams, ScriptedGenerator
 from randaudit.integers import DRAW_CHUNK, MAX_REJECTIONS, METHODS, RandomSource, randint_mask
-from randaudit.sampling import ALGORITHMS, MAX_POPULATION, SampleSpec, pikk, random_indices, shuffles
+from randaudit.sampling import (
+    ALGORITHMS,
+    MAX_POPULATION,
+    STREAMING_ALGORITHMS,
+    SampleSpec,
+    cormen_sample,
+    pikk,
+    random_indices,
+    shuffles,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -119,6 +128,12 @@ def test_oversized_derangement_reference_exits_3_before_shuffling(n, message):
         ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "fisher-yates"),
         ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "pikk"),
         ("audit", "spearman", "--seed", "1", "--n", "100000000000", "--reps", "10000"),
+        # k draws held in a list
+        ("sample", "--seed", "1", "--n", "10", "--k", "100000000000", "--with-replacement"),
+        ("sample", "--seed", "1", "--n", "100000000000", "--k", "10000000000", "--algo", "cormen"),
+        # records 1..n streamed one by one
+        ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "reservoir-r"),
+        ("sample", "--seed", "1", "--n", "100000000000", "--k", "1", "--algo", "vitter-z"),
     ],
 )
 def test_population_no_list_can_hold_exits_3(argv):
@@ -189,11 +204,23 @@ class TestInputChecks:
         monkeypatch.setattr(sampling, "MAX_POPULATION", 10)
         src = RandomSource(HashCounterGenerator("huge"))
         assert len(next(shuffles(src, 10, 1))) == len(pikk(src, 10, 10).items) == 10
+        assert len(random_indices(src, 20, 10).items) == len(random_indices(src, 5, 10, True).items) == 10
+        assert len(cormen_sample(src, 20, 10).items) == 10
+        for algorithm in STREAMING_ALGORITHMS:
+            assert len(SampleSpec(10, 1, algorithm=algorithm).run(src).items) == 1
         src = RandomSource(HashCounterGenerator("huge"))
         with pytest.raises(InfeasibleSizeError):
             next(shuffles(src, 11, 1))
         with pytest.raises(InfeasibleSizeError):
             pikk(src, 11, 1)
+        for with_replacement in (False, True):
+            with pytest.raises(InfeasibleSizeError, match="sample size k = 11"):
+                random_indices(src, 20, 11, with_replacement)
+        with pytest.raises(InfeasibleSizeError, match="sample size k = 11"):
+            cormen_sample(src, 20, 11)
+        for algorithm in STREAMING_ALGORITHMS:
+            with pytest.raises(InfeasibleSizeError, match="population size n = 11"):
+                SampleSpec(11, 1, algorithm=algorithm).run(src)
         gen = HashCounterGenerator("huge")
         with pytest.raises(InfeasibleSizeError):
             audit.spearman_test(gen, 11, 10 ** 4)

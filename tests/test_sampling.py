@@ -9,8 +9,9 @@ from test_kernels import GENERATORS
 
 from randaudit.errors import ScriptedExhaustedError, ShortStreamWarning
 from randaudit.generators import HashCounterGenerator
-from randaudit.integers import RandomSource
+from randaudit.integers import DRAW_CHUNK, RandomSource
 from randaudit.sampling import (
+    Sample,
     SampleSpec,
     ScriptedSource,
     cormen_sample,
@@ -18,6 +19,7 @@ from randaudit.sampling import (
     pikk,
     random_indices,
     reservoir_r,
+    shuffles,
     vitter_z,
 )
 
@@ -174,6 +176,17 @@ class TestFisherYates:
 
     def test_n1(self):
         assert fisher_yates(ScriptedSource(), 1).items == (1,)
+
+    @pytest.mark.parametrize("n", [DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1])
+    def test_one_shuffle_matches_per_position_draws(self, n):
+        src, oracle = hash_source(f"one-shuffle:{n}"), hash_source(f"one-shuffle:{n}")
+        [shuffle] = shuffles(src, n, 1)
+        a = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            j = oracle.randint(i + 1)
+            a[i], a[j - 1] = a[j - 1], a[i]
+        assert shuffle == a
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
 
 
 class TestRandomIndices:
@@ -353,6 +366,22 @@ class TestSampleSpec:
         assert by_n == by_stream
         with pytest.raises(ValueError):
             SampleSpec(n=None, k=2, algorithm="vitter_z").run(hash_source("x"))
+
+
+class TestSampleRecord:
+    def test_fields_cannot_be_assigned(self):
+        sample = Sample((1, 2), 3, 2)
+        with pytest.raises(AttributeError):
+            sample.words = 4
+
+    def test_equal_samples_compare_and_hash_equal(self):
+        a, b = Sample((2, 1), 4, 2, 128), Sample((2, 1), 4, 2, 128)
+        assert a == b and hash(a) == hash(b)
+        assert a != Sample((1, 2), 4, 2, 128)
+
+    def test_bits_and_short_default_to_zero_and_false(self):
+        sample = Sample((1,), 0, 0)
+        assert (sample.bits, sample.short) == (0, False)
 
 
 class TestBitsAccounting:
