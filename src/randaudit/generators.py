@@ -336,8 +336,7 @@ class Mt19937Generator(Generator):
         self._start()
 
     def _start(self) -> None:
-        # getrandbits never returns the sentinel -1, so the stream is endless
-        self.stream = iter(partial(self._rng.getrandbits, 32), -1)
+        self.stream = map(self._rng.getrandbits, repeat(32))
 
     def words(self, count: int) -> list[int]:
         # getrandbits(32 * count) fills its result with consecutive words,

@@ -14,7 +14,9 @@ below 1 raises ValueError before any word is read for it.  Batching does
 not change the stream: floor and round read one word per draw, and mask
 discards the leftover bits of its last word at every range boundary, so
 a sequence reads exactly the words its ranges would read one call at a
-time.
+time.  Mask draws an ``itertools.repeat(m, count)`` as one run, with m's
+mask and acceptance bound worked out once, reading the same words and
+giving the same draws; other sequences are drawn range by range.
 
 Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
@@ -31,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import DegenerateStreamError, InfeasibleSizeError, UnreachableValuesWarning
 from .generators import Generator
@@ -162,7 +165,19 @@ def _mask_kernel(gen: Generator, ranges) -> list[int]:
     drawing a sequence reads the same words as drawing its ranges one call
     at a time.  Raises DegenerateStreamError after MAX_REJECTIONS rejected
     candidates in a row.
+
+    An ``itertools.repeat(m, count)`` with 2 <= m <= 2**width is drawn as
+    one run (_mask_run), with m's mask and bound worked out once; it reads
+    the same words and gives the same draws.  Other sequences are drawn
+    range by range.
     """
+    if type(ranges) is repeat:
+        # the first m picks the loop for the whole repeat
+        for m in ranges:
+            ranges = chain((m,), ranges)
+            if 2 <= m <= 1 << gen.width:
+                return _mask_run(gen, m, ranges)
+            break
     w = gen.width
     read = gen.stream.__next__
     out: list[int] = []
@@ -205,6 +220,56 @@ def _mask_kernel(gen: Generator, ranges) -> list[int]:
                     raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
     finally:
         gen.words_emitted += words
+    return out
+
+
+def _mask_run(gen: Generator, m: int, ranges) -> list[int]:
+    """The mask kernel's draws for a run of one range 2 <= m <= 2**width.
+
+    ``ranges`` yields m once per draw.  A word is accepted when its top mu
+    bits are below m, that is when the word is below m << (width - mu);
+    a rejected draw carries on as in _mask_kernel.  The rejection code is
+    kept inline in both loops rather than shared, so that the range-by-range
+    loop pays no function call per rejected draw.
+    """
+    w = gen.width
+    read = gen.stream.__next__
+    mu = (m - 1).bit_length()
+    shift = w - mu
+    lim = m << shift
+    low = (1 << shift) - 1
+    out: list[int] = []
+    append = out.append
+    # words read beyond one per draw made; a rejected draw counts its first
+    # word here until it is accepted
+    extra = 0
+    try:
+        for _ in ranges:
+            x = read()
+            if x < lim:
+                append((x >> shift) + 1)
+                continue
+            extra += 1
+            pool = x & low
+            bits = shift
+            rejected = 1
+            while True:
+                while bits < mu:
+                    pool = (pool << w) | read()
+                    extra += 1
+                    bits += w
+                bits -= mu
+                r = pool >> bits
+                if r < m:
+                    append(r + 1)
+                    extra -= 1
+                    break
+                pool &= (1 << bits) - 1
+                rejected += 1
+                if rejected == MAX_REJECTIONS:
+                    raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
+    finally:
+        gen.words_emitted += len(out) + extra
     return out
 
 

@@ -9,9 +9,10 @@ oracle leaves it, and raise where the oracle raises.
 
 import random
 import warnings
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randaudit.audit import MURDOCH_M
@@ -136,13 +137,23 @@ RANGE = st.one_of(
 )
 
 
+# a call is a list of ranges, or (m, count) drawn as repeat(m, count)
+CALL = st.one_of(
+    st.lists(RANGE, max_size=12),
+    st.tuples(RANGE, st.integers(min_value=0, max_value=12)),
+)
+
+
 @given(
     name=st.sampled_from(sorted(GENERATORS)),
     method=st.sampled_from(METHODS),
     skip=st.integers(min_value=0, max_value=9),
-    calls=st.lists(st.lists(RANGE, max_size=12), min_size=1, max_size=4),
+    calls=st.lists(CALL, min_size=1, max_size=4),
 )
 @settings(max_examples=400, deadline=None)
+# runs at both ends of the one-word range and just past it
+@example(name="hash_counter/8", method="mask", skip=0, calls=[("two", 5), ("full", 5), ("over", 5), ("one", 2)])
+@example(name="scripted", method="mask", skip=3, calls=[(5, 12), ("murdoch", 12), (0, 2)])
 def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
     gen = GENERATORS[name]()
     gen.words(skip)
@@ -151,15 +162,20 @@ def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnreachableValuesWarning)
         for call in calls:
-            ranges = [resolve(m, gen.width) for m in call]
+            if isinstance(call, tuple):
+                m, count = resolve(call[0], gen.width), call[1]
+                ranges = [m] * count
+                drawn = repeat(m, count)
+            else:
+                ranges = drawn = [resolve(m, gen.width) for m in call]
             expected, expected_error = oracle_draws(ref, method, ranges)
             draws = source.draws
             if expected_error is None:
-                assert source.randints(ranges) == expected
+                assert source.randints(drawn) == expected
                 assert source.draws == draws + len(ranges)
             else:
                 with pytest.raises(expected_error):
-                    source.randints(ranges)
+                    source.randints(drawn)
             assert gen.words_emitted == ref.words_emitted
             if expected_error is not None:
                 break
@@ -181,6 +197,13 @@ def test_bad_range_raises_before_reading_its_word(method, bad, position):
         KERNELS[method](gen, ranges)
     assert gen.words_emitted == position
     assert gen.next_word() == position  # no word was read for the bad range
+    # the bad range as a run, after the same ranges in a call of their own
+    gen = ScriptedGenerator(list(range(8)), width=3)
+    KERNELS[method](gen, [4, 8, 4][:position])
+    with pytest.raises(ValueError):
+        KERNELS[method](gen, repeat(bad, 3))
+    assert gen.words_emitted == position
+    assert gen.next_word() == position
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -190,18 +213,32 @@ def test_exhausted_script_settles_the_words_read(method):
     with pytest.raises(ScriptedExhaustedError):
         KERNELS[method](gen, [8, 8, 8, 8])
     assert gen.words_emitted == 3
+    gen = ScriptedGenerator([1, 2, 3], width=3)
+    with pytest.raises(ScriptedExhaustedError):
+        KERNELS[method](gen, repeat(8, 4))
+    assert gen.words_emitted == 3
     gen = ScriptedGenerator([1, 2, 3, 4], width=3)
     with pytest.raises(ScriptedExhaustedError):
         KERNELS["mask"](gen, [2 ** 7, 2 ** 7])  # 3 words, then 1 of 3
     assert gen.words_emitted == 4
+    gen = ScriptedGenerator([1, 2, 3, 4], width=3)
+    with pytest.raises(ScriptedExhaustedError):
+        KERNELS["mask"](gen, repeat(2 ** 7, 2))
+    assert gen.words_emitted == 4
+    # a run whose second draw rejects 7 for m = 5 and runs out in its retry
+    gen = ScriptedGenerator([1, 7, 7], width=3)
+    with pytest.raises(ScriptedExhaustedError):
+        KERNELS["mask"](gen, repeat(5, 3))
+    assert gen.words_emitted == 3
 
 
 def test_rejection_limit_settles_the_words_read():
     # the first draw takes word 0; 7 is rejected for m = 5 every time
-    gen = ScriptedGenerator([0] + [7] * 100, width=3)
-    with pytest.raises(DegenerateStreamError):
-        KERNELS["mask"](gen, [5, 5, 5])
-    assert gen.words_emitted == 1 + MAX_REJECTIONS
+    for ranges in ([5, 5, 5], repeat(5, 3), repeat(5)):
+        gen = ScriptedGenerator([0] + [7] * 100, width=3)
+        with pytest.raises(DegenerateStreamError):
+            KERNELS["mask"](gen, ranges)
+        assert gen.words_emitted == 1 + MAX_REJECTIONS
 
 
 @pytest.mark.parametrize("method", ["floor", "round"])

@@ -174,6 +174,8 @@ EXPERIMENTS = {
     "murdoch_floor_hash": lambda: audit.murdoch_experiment(
         HashCounterGenerator("contract:murdoch-floor"), "floor", 10 ** 5
     ),
+    # mask draws on the per-word MT19937 stream
+    "murdoch_mask_mt": lambda: audit.murdoch_experiment(Mt19937Generator(42), "mask", 10 ** 5),
     "coverage": lambda: audit.permutation_coverage(LcgParams(m=64, a=5, c=1), 4),
     "derangement": lambda: audit.derangement_test(HashCounterGenerator("contract:d"), 7, 10 ** 4),
     "spearman": lambda: audit.spearman_test(WichmannHillGenerator(5), 4, 10 ** 4),
@@ -190,6 +192,7 @@ REPORT_DIGESTS = {
     "murdoch": "5ef1373234e6daef9338e4d5485ffbaad2d5f3de7943dcfcfa1d1d3600eee153",
     "murdoch_floor_hash": "ed5befbc41de3209c3bb425a3e9dd792be9f796449142e30afde64c30febea1e",
     "murdoch_mask": "60188d903e543744933d7c4de7aee0cff9fb24dc2c7acb457b2789c195b8add7",
+    "murdoch_mask_mt": "8bc16cc4ffa3cbbdbc5badd47d403c84f75887b878bab7841eebdea733cd58f7",
     "sample_frequency": "1655a365c91f1263407d09de9e0d5d535d096b14c691af0c9510e1bcff1f1275",
     "spearman": "4fac4e76638257b23daef571f739cef7979454bd73a6848d4862a49c3e48fe4b",
 }
@@ -224,6 +227,10 @@ COMMANDS = {
     "gen_fractions_hash": ["gen", "--seed", "contract", "--as", "fractions", "--count", "10000"],
     "gen_fractions_wh": ["gen", "--prng", "wh", "--seed", "5", "--as", "fractions", "--count", "10000"],
     "gen_words_mt": ["gen", "--prng", "mt", "--seed", "9", "--as", "words", "--count", "10000"],
+    # mask integers (the default method) over three DRAW_CHUNK calls
+    "gen_integers_mask": [
+        "gen", "--prng", "mt", "--seed", "9", "--as", "integers", "--int-range", "1000", "--count", "10000",
+    ],
     "audit": [
         "audit", "sample-frequency", "--prng", "mt", "--seed", "11", "--n", "4",
         "--k", "2", "--reps", "600", "--algorithm", "reservoir_r", "--method", "round",
@@ -236,6 +243,7 @@ CLI_DIGESTS = {
     "gen": "b32739b06cd8099d6d93f70c5cd8a86a8cb5d1f0a07645035c4858e2f0045246",
     "gen_fractions_hash": "02bf4cb11aad09052af3dfc883ff7eb7b35fc5d1983a1b8a19e29da9aa6d1c80",
     "gen_fractions_wh": "c089fd96c96b96a73efc101fbea1ce2497f6a46c29bc24a5c5ece2d332cb887f",
+    "gen_integers_mask": "22afd5a6607f81a1eb1d9e333263786a7028f4b4a7e588ec564fe896532ebbc3",
     "gen_words_mt": "152531d51c02fda0bb1024a827bd6f922a3af77a111e46da002a944face1ace6",
     "sample": "859824ce0abd3a103e5a3b1b418825348faf78a4fe4aec65872e8daa93f4bf47",
     "table1_csv": "3be2a67bc4a7d4bb42e7dc88b7374743ece024bb4ad95c0dd0036391feb51974",
