@@ -476,6 +476,8 @@ class ScriptedGenerator(Generator):
     """
 
     def __init__(self, script: list[int], width: int, cycles: int | None = 1):
+        if width < 1:
+            raise ValueError("width must be >= 1")
         limit = 1 << width
         for w in script:
             if not 0 <= w < limit:

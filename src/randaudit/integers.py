@@ -14,9 +14,9 @@ below 1 raises ValueError before any word is read for it.  Batching does
 not change the stream: floor and round read one word per draw, and mask
 discards the leftover bits of its last word at every range boundary, so
 a sequence reads exactly the words its ranges would read one call at a
-time.  Mask draws an ``itertools.repeat(m, count)`` as one run, with m's
-mask and acceptance bound worked out once, reading the same words and
-giving the same draws; other sequences are drawn range by range.
+time.  Mask draws every sequence in one loop, which reuses m's setup while
+consecutive ranges are the same object (as in an ``itertools.repeat(m,
+count)``); an m above 2**width starts a pool of several words.
 
 Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
@@ -33,7 +33,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 
 from .errors import DegenerateStreamError, InfeasibleSizeError, UnreachableValuesWarning
 from .generators import Generator
@@ -49,7 +48,6 @@ __all__ = [
     "randint_floor",
     "randint_round",
     "randint_mask",
-    "mask_bits",
     "IntDistribution",
     "exact_distribution",
     "floor_sum",
@@ -108,13 +106,6 @@ def floor_value_float(word: int, width: int, m: float) -> int:
     return 1 + math.floor(m * (word / (1 << width)))
 
 
-def mask_bits(m: int) -> int:
-    """Bits needed to represent m - 1 (0 for the degenerate m = 1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return (m - 1).bit_length()
-
-
 # ---------------------------------------------------------------------------
 # Drawing range sequences from a generator's stream
 
@@ -158,101 +149,58 @@ def _one_word_kernel(value):
 def _mask_kernel(gen: Generator, ranges) -> list[int]:
     """Mask-and-reject draws on {1..m} for each m of ``ranges``.
 
-    A draw takes mu = mask_bits(m) bits at a time, most significant first,
-    and rejects candidates above m - 1.  Leftover bits of a word are kept
-    for the next candidate within the draw but discarded when the draw
+    A draw takes mu = (m - 1).bit_length() bits at a time, most significant
+    first, and rejects candidates above m - 1.  Leftover bits of a word are
+    kept for the next candidate within the draw but discarded when the draw
     ends, so each draw's word consumption depends only on (m, stream), and
     drawing a sequence reads the same words as drawing its ranges one call
     at a time.  Raises DegenerateStreamError after MAX_REJECTIONS rejected
     candidates in a row.
 
-    An ``itertools.repeat(m, count)`` with 2 <= m <= 2**width is drawn as
-    one run (_mask_run), with m's mask and bound worked out once; it reads
-    the same words and gives the same draws.  Other sequences are drawn
-    range by range.
+    One loop serves every sequence.  m's mu and shift are worked out again
+    only when m is not the object the previous draw used, so a repeat(m,
+    count) pays for them once.  An m above 2**width makes the first word
+    fail the one-word test and head a multi-word pool.
     """
-    if type(ranges) is repeat:
-        # the first m picks the loop for the whole repeat
-        for m in ranges:
-            ranges = chain((m,), ranges)
-            if 2 <= m <= 1 << gen.width:
-                return _mask_run(gen, m, ranges)
-            break
     w = gen.width
     read = gen.stream.__next__
     out: list[int] = []
     append = out.append
-    words = 0
-    try:
-        for m in ranges:
-            if m < 2:
-                if m < 1:
-                    raise ValueError("m must be >= 1")
-                append(1)
-                continue
-            mu = (m - 1).bit_length()
-            bits = w - mu
-            if bits >= 0:
-                # the first candidate is the top mu bits of a fresh word
-                pool = read()
-                words += 1
-                r = pool >> bits
-                if r < m:
-                    append(r + 1)
-                    continue
-                pool &= (1 << bits) - 1
-                rejected = 1
-            else:
-                pool = bits = rejected = 0
-            while True:
-                while bits < mu:
-                    pool = (pool << w) | read()
-                    words += 1
-                    bits += w
-                bits -= mu
-                r = pool >> bits
-                if r < m:
-                    append(r + 1)
-                    break
-                pool &= (1 << bits) - 1
-                rejected += 1
-                if rejected == MAX_REJECTIONS:
-                    raise DegenerateStreamError(f"{rejected} mask candidates in a row rejected for m={m}")
-    finally:
-        gen.words_emitted += words
-    return out
-
-
-def _mask_run(gen: Generator, m: int, ranges) -> list[int]:
-    """The mask kernel's draws for a run of one range 2 <= m <= 2**width.
-
-    ``ranges`` yields m once per draw.  A word is accepted when its top mu
-    bits are below m, that is when the word is below m << (width - mu);
-    a rejected draw carries on as in _mask_kernel.  The rejection code is
-    kept inline in both loops rather than shared, so that the range-by-range
-    loop pays no function call per rejected draw.
-    """
-    w = gen.width
-    read = gen.stream.__next__
-    mu = (m - 1).bit_length()
-    shift = w - mu
-    lim = m << shift
-    low = (1 << shift) - 1
-    out: list[int] = []
-    append = out.append
-    # words read beyond one per draw made; a rejected draw counts its first
-    # word here until it is accepted
+    # words read beyond one per draw made (m = 1 reads none); a rejected
+    # draw counts its first word here until it is accepted
     extra = 0
+    last = None
     try:
-        for _ in ranges:
+        for m in ranges:
+            if m is not last:
+                if m < 2:
+                    if m < 1:
+                        raise ValueError("m must be >= 1")
+                    append(1)
+                    extra -= 1
+                    continue
+                mu = (m - 1).bit_length()
+                shift = w - mu
+                # the first candidate is the top mu bits of a fresh word, or
+                # none when m needs more than one word
+                cap = m
+                if shift < 0:
+                    shift = cap = 0
+                last = m
             x = read()
-            if x < lim:
-                append((x >> shift) + 1)
+            r = x >> shift
+            if r < cap:
+                append(r + 1)
                 continue
             extra += 1
-            pool = x & low
-            bits = shift
-            rejected = 1
+            if cap:
+                pool = x & ((1 << shift) - 1)
+                bits = shift
+                rejected = 1
+            else:
+                pool = x
+                bits = w
+                rejected = 0
             while True:
                 while bits < mu:
                     pool = (pool << w) | read()

@@ -412,6 +412,12 @@ class TestScripted:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             ScriptedGenerator([8], width=3)
+        # a width-0 word adds no bits, so a mask draw of it would never end
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="width must be >= 1"):
+                ScriptedGenerator([0], width=width, cycles=None)
+            with pytest.raises(ValueError, match="width must be >= 1"):
+                from_spec({"variant": "scripted", "script": [0], "width": width, "cycles": None})
 
 
 # one generator per VARIANTS entry; three 12-bit hash-counter words leave

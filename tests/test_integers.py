@@ -15,7 +15,6 @@ from randaudit.integers import (
     floor_sum,
     floor_value,
     floor_value_scaled,
-    mask_bits,
     randint_floor,
     randint_mask,
     randint_round,
@@ -122,11 +121,12 @@ class TestRound:
 class TestMask:
     def test_mu_is_bit_length_of_m_minus_1(self):
         # ceil(log2(m-1)) undercounts when m-1 is a power of two: m=3 needs
-        # 2 bits to represent the acceptable value 2
-        assert mask_bits(3) == 2
-        assert mask_bits(5) == 3
-        assert mask_bits(1) == 0
-        assert mask_bits(2 ** 20) == 20
+        # 2 bits to represent the acceptable value 2; at width 1 an accepted
+        # candidate of mu bits reads mu words
+        for m, mu in [(3, 2), (5, 3), (1, 0), (2 ** 20, 20)]:
+            g = ScriptedGenerator([0] * 20, width=1)
+            assert randint_mask(g, m) == 1
+            assert g.words_emitted == mu
 
     def test_m1_consumes_nothing(self):
         g = ScriptedGenerator([], width=1)
@@ -156,7 +156,7 @@ class TestMask:
     def test_cyclic_enumeration_gives_exactly_equal_frequencies(self):
         # every m in 1..64 with a source cycling through all mu-bit patterns
         for m in range(1, 65):
-            mu = mask_bits(m)
+            mu = (m - 1).bit_length()
             if mu == 0:
                 continue
             g = ScriptedGenerator(list(range(1 << mu)), width=mu, cycles=3)

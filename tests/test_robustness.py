@@ -76,6 +76,16 @@ def test_degenerate_generator_exits_2(argv):
     assert_one_line_error(run_cli(*argv), 2)
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_scripted_width_below_one_exits_2(tmp_path, width):
+    # a width-0 word adds no bits, so a mask draw of it used to loop forever
+    path = tmp_path / "words.txt"
+    path.write_text(f"width={width}\n0\n")
+    proc = run_cli("gen", "--scripted", str(path), "--as", "integers", "--int-range", "2", "--count", "3")
+    assert_one_line_error(proc, 2)
+    assert "width must be >= 1" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -231,6 +231,11 @@ COMMANDS = {
     "gen_integers_mask": [
         "gen", "--prng", "mt", "--seed", "9", "--as", "integers", "--int-range", "1000", "--count", "10000",
     ],
+    # mask integers wider than a word (40 bits from 32-bit words), drawn
+    # from a repeat of one range
+    "gen_integers_mask_wide": [
+        "gen", "--seed", "contract", "--as", "integers", "--int-range", "1000000000000", "--count", "5000",
+    ],
     "audit": [
         "audit", "sample-frequency", "--prng", "mt", "--seed", "11", "--n", "4",
         "--k", "2", "--reps", "600", "--algorithm", "reservoir_r", "--method", "round",
@@ -244,6 +249,7 @@ CLI_DIGESTS = {
     "gen_fractions_hash": "02bf4cb11aad09052af3dfc883ff7eb7b35fc5d1983a1b8a19e29da9aa6d1c80",
     "gen_fractions_wh": "c089fd96c96b96a73efc101fbea1ce2497f6a46c29bc24a5c5ece2d332cb887f",
     "gen_integers_mask": "22afd5a6607f81a1eb1d9e333263786a7028f4b4a7e588ec564fe896532ebbc3",
+    "gen_integers_mask_wide": "bd199fecb2b7c2fc1134b9d71f86f1f0e48441af51c2f2ce36661c85d8ab90bd",
     "gen_words_mt": "152531d51c02fda0bb1024a827bd6f922a3af77a111e46da002a944face1ace6",
     "sample": "859824ce0abd3a103e5a3b1b418825348faf78a4fe4aec65872e8daa93f4bf47",
     "table1_csv": "3be2a67bc4a7d4bb42e7dc88b7374743ece024bb4ad95c0dd0036391feb51974",
