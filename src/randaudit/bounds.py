@@ -24,7 +24,6 @@ __all__ = [
     "MAX_BITS",
     "factorial",
     "binomial",
-    "power",
     "derangement_count",
     "rencontres_count",
     "rencontres_counts",
@@ -70,12 +69,6 @@ def binomial(n: int, k: int) -> int:
         # C(n, j) <= (e n / j)**j
         _check_bits(j * (math.log2(n) - math.log2(j) + math.log2(math.e)), f"C({n},{k})")
     return math.comb(n, k)
-
-
-def power(n: int, k: int) -> int:
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    return n ** k
 
 
 def derangement_count(n: int) -> int:
@@ -185,14 +178,6 @@ class AttainabilityReport:
     target: int
     fraction: Fraction
     l1_lower_bound: Fraction
-
-    @property
-    def fraction_display(self) -> str:
-        return decimal_string(self.fraction, 6)
-
-    @property
-    def l1_display(self) -> str:
-        return decimal_string(self.l1_lower_bound, 6)
 
 
 def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:

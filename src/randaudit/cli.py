@@ -1,7 +1,7 @@
 """Command-line front end: generate, sample, bounds tables, audits.
 
-Every command resolves a seed (flag > seed file > RANDAUDIT_SEED env
-var), echoes the full configuration and seed into its output header, and
+Every command resolves a seed (its one seed flag, else the RANDAUDIT_SEED
+env var), echoes the full configuration and seed into its output header, and
 is byte-for-byte reproducible from that header apart from timing fields.
 
 A warning (an unreachable integer range, a stream shorter than the
@@ -9,13 +9,15 @@ reservoir, fresh entropy) is one ``warning:`` line on stderr.  Exit codes,
 each failure with a one-line ``error:`` on stderr, after any warnings: 0
 success;
 2 usage error, including alpha outside (0, 1), zero calibration
-repetitions, ``bounds`` flags that would be ignored (``--table1`` with a
-row's flags, two target forms), an exhausted scripted source, and a
-degenerate generator (DegenerateStreamError: a redraw loop hit its
-limit); 3 infeasible size, including ``bounds`` values wider than 2**18
-bits (``--state-bits`` above 262144, ``--target-perm`` above about
-20,400, C(n,k) above about 78,900 digits), a derangement audit whose
-exact rate D_n / n! is too long to print, and a size above
+repetitions, flags that would be ignored (``bounds --table1`` with a
+row's flags, two ``bounds`` target forms, two seed flags, ``--a``/``--c``/
+``--m`` without ``--prng lcg``, a seed or LCG flag with ``--scripted``,
+``gen --int-range`` without ``--as integers``), an exhausted scripted
+source, and a degenerate generator (DegenerateStreamError: a redraw
+loop hit its limit); 3 infeasible size, including ``bounds`` values
+wider than 2**18 bits (``--state-bits`` above 262144, ``--target-perm``
+above about 20,400, C(n,k) above about 78,900 digits), a derangement
+audit whose exact rate D_n / n! is too long to print, and a size above
 ``sampling.MAX_POPULATION`` (10**8): n for ``pikk``, ``fisher-yates``, a
 permutation audit, or ``reservoir-r`` and ``vitter-z`` streaming 1..n;
 k for ``random-indices`` and ``cormen``.  ``audit sample-frequency
@@ -30,6 +32,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import nullcontext
 from itertools import repeat
 
 from . import audit as audit_mod
@@ -50,6 +53,10 @@ _ALGO_NAMES = tuple(sorted(tag.replace("_", "-") for tag in ALGORITHMS))
 # --prng name -> generator variant
 PRNG_VARIANTS = {"hash": "hash_counter", "mt": "mt19937", "lcg": "lcg", "wh": "wichmann_hill"}
 
+# argparse dests of the seed flags and of the LCG fields
+SEED_FLAGS = ("seed", "seed_string", "seed_file")
+LCG_FLAGS = ("a", "c", "m")
+
 
 class CliError(Exception):
     def __init__(self, message, code=USAGE_ERROR):
@@ -57,19 +64,23 @@ class CliError(Exception):
         self.code = code
 
 
+def _given(args, dests) -> list[str]:
+    """The flags among ``dests`` that the command line set."""
+    return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+
+
 def _resolve_seed(args, allow_entropy: bool) -> str:
-    """Seed precedence: explicit flag, seed file, environment variable.
-    Fresh entropy is allowed only where reproducibility is not the point
-    (plain generation), and prints a warning."""
-    if getattr(args, "seed_string", None) is not None:
-        return args.seed_string
-    if getattr(args, "seed", None) is not None:
-        return str(args.seed)
-    if getattr(args, "seed_file", None) is not None:
+    """Seed precedence: the one seed flag given, else the environment
+    variable.  Fresh entropy is allowed only where reproducibility is not
+    the point (plain generation), and prints a warning."""
+    given = _given(args, SEED_FLAGS)
+    if len(given) > 1:
+        raise CliError(f"pass one seed flag, not {' and '.join(given)}")
+    if args.seed_file is not None:
         return str(load_seed(args.seed_file))
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return env
+    for seed in (args.seed, args.seed_string, os.environ.get(SEED_ENV)):
+        if seed is not None:
+            return seed
     if allow_entropy:
         seed = "hex:" + os.urandom(16).hex()
         print(
@@ -83,23 +94,29 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
     )
 
 
-def _build_generator(args, seed_text: str):
+def _build_generator(args, allow_entropy: bool):
+    """The --prng generator seeded by _resolve_seed, with the seed text;
+    its LCG flags are checked before the seed is resolved."""
     variant = PRNG_VARIANTS[args.prng]
     fields = {}
     if variant == "lcg":
         if args.m is None or args.a is None or args.c is None:
             raise CliError("--prng lcg requires --a, --c and --m")
         fields = {"m": args.m, "a": args.a, "c": args.c}
-    return seed_generator(variant, seed_text, **fields)
+    elif given := _given(args, LCG_FLAGS):
+        raise CliError(f"--prng {args.prng} takes no {' or '.join(given)}")
+    seed_text = _resolve_seed(args, allow_entropy)
+    return seed_generator(variant, seed_text, **fields), seed_text
 
 
 def _generator_and_seed(args, allow_entropy: bool):
-    """The --scripted word file, or the --prng generator seeded by
-    _resolve_seed, with the seed text the header records."""
+    """The --scripted word file, or _build_generator's generator, with the
+    seed text the header records."""
     if args.scripted:
+        if given := _given(args, SEED_FLAGS + LCG_FLAGS):
+            raise CliError(f"--scripted takes no {' or '.join(given)}")
         return load_scripted(args.scripted), f"scripted:{args.scripted}"
-    seed_text = _resolve_seed(args, allow_entropy)
-    return _build_generator(args, seed_text), seed_text
+    return _build_generator(args, allow_entropy)
 
 
 def _header(config: dict) -> str:
@@ -118,6 +135,8 @@ def _cmd_gen(args) -> int:
             raise CliError("--as integers requires --int-range")
         if args.int_range < 1:
             raise CliError("--int-range must be >= 1")
+    elif args.int_range is not None:
+        raise CliError(f"--int-range is for --as integers only, not --as {args.emit}")
     gen, seed_text = _generator_and_seed(args, allow_entropy=True)
 
     config = {
@@ -239,15 +258,15 @@ def _cmd_bounds(args) -> int:
         "state_bits": rep.state_bits,
         "target": label,
         "target_sci": bounds_mod.sci_string(rep.target, 6),
-        "fraction": rep.fraction_display,
+        "fraction": bounds_mod.decimal_string(rep.fraction, 6),
         "fraction_sci": bounds_mod.sci_string(rep.fraction, 6),
-        "l1_lower_bound": rep.l1_display,
+        "l1_lower_bound": bounds_mod.decimal_string(rep.l1_lower_bound, 6),
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        print(",".join(payload.keys()))
-        print(",".join(str(v) for v in payload.values()))
+        import csv
+        csv.writer(sys.stdout, lineterminator="\n").writerows([payload.keys(), payload.values()])
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -264,7 +283,7 @@ def _cmd_audit(args) -> int:
     kwargs = {}
     for name in inspect.signature(run).parameters:
         if name == "gen":
-            kwargs[name] = _build_generator(args, _resolve_seed(args, allow_entropy=False))
+            kwargs[name] = _build_generator(args, allow_entropy=False)[0]
         elif name == "params":
             kwargs[name] = LcgParams(m=args.m, a=args.a, c=args.c)
         elif name == "base_seed":
@@ -273,26 +292,13 @@ def _cmd_audit(args) -> int:
             kwargs[name] = getattr(args, name)
     report = run(**kwargs)
 
-    if args.format == "csv":
-        import csv as csv_lib
-
-        def write_csv(fh):
-            writer = csv_lib.writer(fh)
-            writer.writerow(audit_mod.AuditReport.CSV_COLUMNS)
-            writer.writerow(report.csv_row())
-
-        if args.out is None:
-            write_csv(sys.stdout)
+    target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
+    with target as fh:
+        if args.format == "csv":
+            import csv
+            csv.writer(fh).writerows([audit_mod.AuditReport.CSV_COLUMNS, report.csv_row()])
         else:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_csv(fh)
-    else:
-        text = report.to_json()
-        if args.out is None:
-            print(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            fh.write(report.to_json() + "\n")
     if args.out is not None:
         print(f"# wrote {args.out}")
     return 0

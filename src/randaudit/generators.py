@@ -364,13 +364,17 @@ def _block_words(seed_bytes: bytes, width: int, hash_name: str):
     The seed prefix is hashed once, here; each block copies that state and
     hashes only its counter.  Words are cut from the digest
     most-significant-bits first; any remainder narrower than ``width`` is
-    dropped.
+    dropped.  The hash must have a 256-bit digest, and 1 <= width <= 256.
     """
     prefix = hashlib.new(hash_name, seed_bytes + b",")
-    unpack = _UNPACK_256.get(width) if prefix.digest_size == 32 else None
+    if prefix.digest_size != 32:
+        raise ValueError(f"{hash_name} is not a 256-bit hash")
+    if not 1 <= width <= 256:
+        raise ValueError("width must be in [1, 256]")
+    unpack = _UNPACK_256.get(width)
     if unpack is None:
         mask = (1 << width) - 1
-        shifts = range(8 * prefix.digest_size - width, -1, -width)
+        shifts = range(256 - width, -1, -width)
 
         def unpack(digest):
             value = int.from_bytes(digest, "big")
@@ -429,10 +433,6 @@ class HashCounterGenerator(Generator):
             seed_obj = Seed.from_text(seed)
         if not seed_obj.data:
             raise ValueError("hash_counter seed must be nonempty")
-        if hashlib.new(hash_name).digest_size != 32:
-            raise ValueError(f"{hash_name} is not a 256-bit hash")
-        if not 1 <= width <= 256:
-            raise ValueError("width must be in [1, 256]")
         self.seed = seed_obj
         self.width = width
         self.hash_name = hash_name
@@ -445,12 +445,13 @@ class HashCounterGenerator(Generator):
         return -(-self.words_emitted // (256 // self.width))
 
     def _start(self) -> None:
+        # the hash state lives in the stream's closure, never in vars(self),
+        # which clone() deep-copies; _block_words checks the hash and width
+        block = _block_words(self.seed.data, self.width, self.hash_name)
         # the blocks from the one holding word ``words_emitted`` on, that
         # block cut to its unread words
         first, offset = divmod(self.words_emitted, 256 // self.width)
-        # the hash state lives in the stream's closure, never in vars(self),
-        # which clone() deep-copies
-        blocks = map(_block_words(self.seed.data, self.width, self.hash_name), count(first))
+        blocks = map(block, count(first))
         if offset:
             blocks = chain([next(blocks)[offset:]], blocks)
         self.stream = chain.from_iterable(blocks)
@@ -497,11 +498,6 @@ class ScriptedGenerator(Generator):
         total = len(script) * (self.cycles or 0)
         exhausted = iter(partial(_exhausted, total), None)
         self.stream = chain(islice(words, self.words_emitted, None), exhausted)
-
-    def remaining(self) -> int | None:
-        if self.cycles is None:
-            return None
-        return len(self.script) * self.cycles - self.words_emitted
 
     def spec(self) -> dict:
         return {

@@ -29,7 +29,6 @@ path enumeration replays each path.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,6 @@ __all__ = [
     "KERNELS",
     "METHODS",
     "floor_value",
-    "floor_value_float",
     "floor_value_scaled",
     "round_value_raw",
     "randint_floor",
@@ -91,19 +89,6 @@ def round_value_raw(word: int, width: int, m: int) -> int:
     mass of an interior bucket.
     """
     return (2 * m * word + (1 << width)) >> (width + 1)
-
-
-def floor_value_float(word: int, width: int, m: float) -> int:
-    """Textbook floating-point emulation: 1 + floor(m * (word / 2**width))
-    evaluated in doubles, the way package code actually writes it.
-
-    Exists only to demonstrate that behavior; every other kernel here is
-    exact integer arithmetic.  Agrees with floor_value whenever the
-    product m * word fits in 53 bits; beyond that, and whenever m itself
-    is a non-integral float such as the result of (2/5) * 2**32, the two
-    part ways (floor_value_scaled captures the latter exactly).
-    """
-    return 1 + math.floor(m * (word / (1 << width)))
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,9 @@ def shuffles(source, n: int, count: int):
     Each shuffle is Fisher-Yates: for i from n-1 down to 1 swap position i
     with a uniform position j in {0..i}, n-1 integer draws and no sort.
     All the draws are made in the order single shuffles would make them:
-    in one randints call when there are at most DRAW_CHUNK of them, else
-    DRAW_CHUNK per call, each chunk when the shuffle being built first
-    needs it.
+    one shuffle of n <= DRAW_CHUNK in one randints call, anything else in
+    calls of DRAW_CHUNK draws (the last one shorter), each call when the
+    shuffle being built first needs it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -194,8 +194,6 @@ def shuffles(source, n: int, count: int):
     if count == 1 and n <= DRAW_CHUNK:
         # one shuffle reads its draws once, so the list needs no iterator
         draws = source.randints(range(n, 1, -1))
-    elif count * (n - 1) <= DRAW_CHUNK:
-        draws = iter(source.randints(list(range(n, 1, -1)) * count))
     else:
         ranges = chain.from_iterable(repeat(range(n, 1, -1), count))
         chunks = iter(lambda: list(islice(ranges, DRAW_CHUNK)), [])

@@ -12,7 +12,6 @@ from randaudit.bounds import (
     derangement_count,
     entropy_bounds,
     factorial,
-    power,
     rencontres_count,
     rencontres_counts,
     render_table1_csv,
@@ -60,12 +59,6 @@ class TestExactCombinatorics:
             assert factorial(n) == naive_factorial(n)
         for n, k in [(10, 3), (50, 10), (500, 250), (500, 1), (120, 119)]:
             assert binomial(n, k) == naive_binomial(n, k)
-
-    def test_power(self):
-        assert power(2, 10) == 1024
-        assert power(10, 0) == 1
-        with pytest.raises(ValueError):
-            power(-1, 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from randaudit import audit
 from randaudit.cli import INFEASIBLE, SEED_ENV, USAGE_ERROR, main
 
 
@@ -185,6 +187,18 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["fraction"] == "0.418112"
 
+    def test_custom_row_csv_parses(self, capsys):
+        # the label C(50,10) holds a comma, so the row must quote it
+        code, out, _ = run_cli(
+            capsys,
+            "bounds", "--state-bits", "32", "--target-n", "50", "--target-k", "10",
+            "--format", "csv",
+        )
+        assert code == 0
+        header, row = csv.reader(out.splitlines())
+        assert len(header) == len(row) == 6
+        assert dict(zip(header, row))["target"] == "C(50,10)"
+
     def test_perm_target(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--state-bits", "8", "--target-perm", "6", "--format", "json"
@@ -283,6 +297,16 @@ class TestAudit:
         report = json.loads(out_path.read_text())
         assert report["experiment"] == "coverage"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_bytes_stdout_gets(self, capsys, monkeypatch, tmp_path, fmt):
+        monkeypatch.setattr(audit.time, "perf_counter", lambda: 0.0)  # duration_s 0
+        argv = ["audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "3", "--format", fmt]
+        _, printed, _ = run_cli(capsys, *argv)
+        out_path = tmp_path / f"report.{fmt}"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0 and out == f"# wrote {out_path}\n"
+        assert out_path.read_bytes() == printed.encode("utf-8")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -318,6 +342,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--frobnicate"])
         assert exc.value.code == USAGE_ERROR
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--seed", "1", "--seed-string", "x"], "pass one seed flag, not --seed and --seed-string"),
+            (["sample", "--n", "5", "--k", "2", "--seed", "1", "--seed-file", "s.txt"], "--seed and --seed-file"),
+            (["audit", "calibration", "--seed-string", "x", "--seed-file", "s.txt"], "pass one seed flag"),
+            (["gen", "--prng", "hash", "--m", "5", "--a", "3", "--c", "1", "--seed", "x"],
+             "--prng hash takes no --a or --c or --m"),
+            # no seed: the flag is refused before gen warns of fresh entropy
+            (["gen", "--prng", "mt", "--c", "1"], "--prng mt takes no --c"),
+            (["audit", "murdoch", "--method", "mask", "--seed", "1", "--m", "5"], "--prng mt takes no --m"),
+            (["audit", "spearman", "--seed", "1", "--a", "3"], "--prng hash takes no --a"),
+            (["gen", "--scripted", "SCRIPT", "--seed", "1"], "--scripted takes no --seed"),
+            (["sample", "--scripted", "SCRIPT", "--n", "5", "--k", "2", "--m", "5"], "--scripted takes no --m"),
+            (["gen", "--seed", "1", "--int-range", "6"], "--int-range is for --as integers only, not --as words"),
+            (["gen", "--seed", "1", "--as", "fractions", "--int-range", "6"], "not --as fractions"),
+        ],
+    )
+    def test_flags_that_would_be_ignored_are_refused(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        script = tmp_path / "script.txt"
+        script.write_text("width=8\n1\n2\n")
+        code, out, err = run_cli(capsys, *(str(script) if arg == "SCRIPT" else arg for arg in argv))
+        assert code == USAGE_ERROR
+        assert out == ""  # refused before the header
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_lcg_missing_params(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--prng", "lcg", "--seed", "1")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randaudit.bounds import power
 from randaudit.errors import ScriptedExhaustedError
 from randaudit.generators import (
     RANDU,
@@ -44,7 +43,7 @@ class TestLcg:
 
     def test_randu_second_word_matches_big_integer_oracle(self):
         # 65539^2 mod 2^31 by exact arbitrary-precision arithmetic
-        expected = power(65539, 2) % power(2, 31)
+        expected = 65539 ** 2 % 2 ** 31
         g = LcgGenerator(RANDU, 1)
         g.next_word()
         assert g.next_word() == expected == 393225
@@ -295,6 +294,36 @@ def hashlib_words(seed: bytes, width: int, hash_name: str, count: int) -> list[i
         bits = format(int.from_bytes(digest, "big"), "0256b")
         out += [int(bits[j * width : (j + 1) * width], 2) for j in range(per_block)]
     return out[:count]
+
+
+class TestDigestWords:
+    """digest_words is the generator's block function: the same words, and
+    the same refusals."""
+
+    @pytest.mark.parametrize("hash_name", HASH_NAMES)
+    @pytest.mark.parametrize("width", HASH_WIDTHS)
+    def test_block_i_against_hashlib(self, width, hash_name):
+        per_block = 256 // width
+        reference = hashlib_words(b"digest", width, hash_name, 3 * per_block)
+        for i in range(3):
+            block = reference[i * per_block : (i + 1) * per_block]
+            assert list(digest_words(b"digest", i, width, hash_name)) == block
+
+    @pytest.mark.parametrize(
+        "width, hash_name, message",
+        [
+            (0, "sha256", "width must be in"),
+            (-1, "sha256", "width must be in"),
+            (257, "sha256", "width must be in"),
+            (32, "md5", "md5 is not a 256-bit hash"),
+            (32, "sha512", "sha512 is not a 256-bit hash"),
+        ],
+    )
+    def test_refuses_what_the_generator_refuses(self, width, hash_name, message):
+        with pytest.raises(ValueError, match=message):
+            HashCounterGenerator("x", width=width, hash_name=hash_name)
+        with pytest.raises(ValueError, match=message):
+            digest_words(b"x", 0, width=width, hash_name=hash_name)
 
 
 # read n words from gen and return them: one words(n) call, n next_word()

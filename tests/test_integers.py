@@ -232,28 +232,6 @@ class TestFloorSumAndParity:
         assert p == Fraction(858993459, 2 ** 31)
         assert abs(p - Fraction(2, 5)) < Fraction(1, 10 ** 9)
 
-    def test_float_emulation_agrees_with_exact_kernel_at_small_scale(self):
-        # products below 53 bits are exact in doubles, so the textbook float
-        # path and the integer kernel coincide
-        from randaudit.integers import floor_value_float
-
-        for width, m in [(8, 5), (16, 1000), (16, 32769), (20, 7)]:
-            for word in range(0, 1 << width, 97):
-                assert floor_value_float(word, width, m) == floor_value(word, width, m)
-
-    def test_float_emulation_reproduces_the_real_scale_bias(self):
-        # the float (2/5) * 2**32 is not the integer m, and that difference
-        # is the whole even/odd story
-        from randaudit.integers import floor_value_float
-
-        m_float = (2 / 5) * 2 ** 32
-        hits = sum(
-            1
-            for w in range(0, 1 << 32, 2 ** 22)
-            if floor_value_float(w, 32, m_float) % 2 == 0
-        )
-        assert abs(hits / 1024 - 0.4) < 0.02
-
     def test_scaled_parity_matches_brute_force_at_reduced_width(self):
         # same length-5 pattern as the full-width experiment
         width = 8

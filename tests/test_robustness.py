@@ -355,6 +355,9 @@ SCRIPTED = "<scripted file>"  # stands for the scripted_file fixture's path
 STREAM = "<stream file>"  # stands for the stream_file fixture's path
 SIGNED = st.integers(min_value=-3 * DRAW_CHUNK, max_value=3 * DRAW_CHUNK)
 LCG_FIELD = st.integers(min_value=-2, max_value=300)
+# flags a command would ignore, so it refuses them: a second seed flag, an
+# LCG field without --prng lcg, or either kind with --scripted
+STRAY = [["--seed-string", "x"], ["--a", "3"], ["--c", "1"], ["--m", "5"]]
 
 
 @pytest.fixture(scope="module")
@@ -375,19 +378,35 @@ def stream_file(tmp_path_factory):
 def generator_flags(draw, scripted=True, seeds=SIGNED):
     prng = draw(st.sampled_from(["hash", "mt", "wh", "lcg"] + ["scripted"] * scripted))
     if prng == "scripted":
-        return ["--scripted", SCRIPTED]
-    if prng != "lcg":
-        return ["--prng", prng, "--seed", str(draw(seeds))]
-    fields = [str(draw(LCG_FIELD)) for _ in range(4)]
-    return ["--prng", "lcg", "--seed", fields[0], "--a", fields[1], "--c", fields[2], "--m", fields[3]]
+        flags = ["--scripted", SCRIPTED]
+    elif prng != "lcg":
+        flags = ["--prng", prng, "--seed", str(draw(seeds))]
+    else:
+        fields = [str(draw(LCG_FIELD)) for _ in range(4)]
+        flags = ["--prng", "lcg", "--seed", fields[0], "--a", fields[1], "--c", fields[2], "--m", fields[3]]
+    if draw(st.integers(min_value=1, max_value=5)) == 1:
+        flags += draw(st.sampled_from(STRAY[:1] if prng == "lcg" else STRAY))
+    return flags
+
+
+def is_refused_generator_argv(argv):
+    """A stray flag from STRAY, or --int-range with gen --as words or fractions."""
+    seeds = ("--seed" in argv) + ("--seed-string" in argv)
+    fields = bool({"--a", "--c", "--m"} & set(argv))
+    if "--scripted" in argv:
+        return bool(seeds or fields)
+    # coverage takes --a, --c and --m without --prng
+    stray_fields = fields and "--prng" in argv and "lcg" not in argv
+    return seeds > 1 or stray_fields or ("--int-range" in argv and "integers" not in argv)
 
 
 @st.composite
 def gen_argv(draw):
     argv = ["gen", *draw(generator_flags()), "--count", str(draw(SIGNED))]
-    argv += ["--as", draw(st.sampled_from(["words", "fractions", "integers"]))]
-    argv += ["--method", draw(st.sampled_from(METHODS))]
-    if draw(st.booleans()):
+    emit = draw(st.sampled_from(["words", "fractions", "integers"]))
+    argv += ["--as", emit, "--method", draw(st.sampled_from(METHODS))]
+    # a range with words or fractions is refused, so it is drawn less often
+    if draw(st.integers(min_value=1, max_value=2 if emit == "integers" else 5)) == 1:
         argv += ["--int-range", str(draw(SIGNED))]
     return argv
 
@@ -422,8 +441,9 @@ def test_gen_and_sample_argv_fuzz(scripted_file, stream_file, argv):
     paths = {SCRIPTED: scripted_file, STREAM: stream_file}
     proc = run_cli(*(paths.get(arg, arg) for arg in argv))
     assert_clean_exit(proc)
-    if STREAM in argv and ("--n" in argv or argv[argv.index("--algo") + 1] not in ("reservoir-r", "vitter-z")):
-        # a --file that would be ignored is refused before the header
+    # a --file or a generator flag that would be ignored is refused before the header
+    stray_file = STREAM in argv and ("--n" in argv or argv[argv.index("--algo") + 1] not in ("reservoir-r", "vitter-z"))
+    if stray_file or is_refused_generator_argv(argv):
         assert proc.returncode == 2 and proc.stdout == "", proc.stdout
 
 
@@ -452,6 +472,8 @@ def audit_argv(draw):
         argv += ["--a", str(draw(fields)), "--c", str(draw(fields)), "--m", str(m), "--n", str(draw(SMALL))]
     elif command == "calibration":
         argv += ["--seed", str(draw(SIGNED)), "--repetitions", draw(st.sampled_from(["-1", "0", "1"]))]
+        if draw(st.integers(min_value=1, max_value=5)) == 1:
+            argv += STRAY[0]
     elif command == "sample-frequency":
         argv += [*draw(gen_flags), "--algorithm", draw(st.sampled_from(sorted(ALGORITHMS)))]
         argv += ["--n", str(draw(st.integers(min_value=-1, max_value=7)))]
@@ -498,7 +520,10 @@ def is_refused_bounds_argv(argv):
 @given(argv=audit_argv())
 @settings(max_examples=40, deadline=None)
 def test_audit_argv_fuzz(argv):
-    assert_clean_exit(run_cli(*argv))
+    proc = run_cli(*argv)
+    assert_clean_exit(proc)
+    if is_refused_generator_argv(argv):
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
 
 
 @given(argv=bounds_argv())
