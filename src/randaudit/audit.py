@@ -87,30 +87,15 @@ class AuditReport:
         return cls(**json.loads(text))
 
     CSV_COLUMNS = (
-        "experiment",
-        "seed",
-        "replications",
-        "passed",
-        "duration_s",
-        "observed",
-        "reference",
-        "statistics",
-        "p_values",
-        "flags",
+        "experiment", "seed", "replications", "passed", "duration_s",
+        "observed", "reference", "statistics", "p_values", "flags",
     )
 
     def csv_row(self) -> list:
+        # duration_s to the millisecond; the dict and list columns as JSON
         return [
-            self.experiment,
-            self.seed,
-            self.replications,
-            self.passed,
-            f"{self.duration_s:.3f}",
-            json.dumps(self.observed, sort_keys=True),
-            json.dumps(self.reference, sort_keys=True),
-            json.dumps(self.statistics, sort_keys=True),
-            json.dumps(self.p_values, sort_keys=True),
-            json.dumps(self.flags),
+            self.experiment, self.seed, self.replications, self.passed, f"{self.duration_s:.3f}",
+            *(json.dumps(getattr(self, column), sort_keys=True) for column in self.CSV_COLUMNS[5:]),
         ]
 
 

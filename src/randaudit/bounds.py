@@ -38,7 +38,6 @@ __all__ = [
     "table1_values",
     "table1_report",
     "render_table1_text",
-    "render_table1_csv",
 ]
 
 
@@ -324,16 +323,3 @@ def render_table1_text(rows: list[Table1Row] | None = None) -> str:
             f"{r.feature:<{w_feat}}  {r.quantity:<{w_q}}  {r.full:>{w_full}}  {r.sci}"
         )
     return "\n".join(lines)
-
-
-def render_table1_csv(rows: list[Table1Row] | None = None) -> str:
-    import csv
-    import io
-
-    rows = rows if rows is not None else table1_report()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["feature", "quantity", "full", "scientific"])
-    for r in rows:
-        writer.writerow([r.feature, r.quantity, r.full, r.sci])
-    return buf.getvalue()

@@ -12,7 +12,8 @@ success;
 repetitions, flags that would be ignored (``bounds --table1`` with a
 row's flags, two ``bounds`` target forms, two seed flags, ``--a``/``--c``/
 ``--m`` without ``--prng lcg``, a seed or LCG flag with ``--scripted``,
-``gen --int-range`` without ``--as integers``), an exhausted scripted
+``gen --int-range`` without ``--as integers``), an audit ``--out`` that
+cannot be opened (refused before the audit runs), an exhausted scripted
 source, and a degenerate generator (DegenerateStreamError: a redraw
 loop hit its limit); 3 infeasible size, including ``bounds`` values
 wider than 2**18 bits (``--state-bits`` above 262144, ``--target-perm``
@@ -123,6 +124,13 @@ def _header(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True)
 
 
+def _emit_csv(fh, rows) -> None:
+    """Every CSV the CLI prints: the csv module's default dialect, CR LF line ends."""
+    import csv  # loaded only by the commands that print CSV
+
+    csv.writer(fh).writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -197,14 +205,11 @@ def _cmd_sample(args) -> int:
         "with_replacement": args.with_replacement,
     }
     print(_header(config))
-    if args.file is not None:
-        if args.file == "-":
-            sample = spec.run(source, stream=(ln.rstrip("\n") for ln in sys.stdin))
-        else:
-            with open(args.file, encoding="utf-8") as fh:
-                sample = spec.run(source, stream=(ln.rstrip("\n") for ln in fh))
-    else:
+    if args.file is None:
         sample = spec.run(source)
+    else:
+        with nullcontext(sys.stdin) if args.file == "-" else open(args.file, encoding="utf-8") as fh:
+            sample = spec.run(source, stream=(ln.rstrip("\n") for ln in fh))
 
     for item in sample.items:
         print(item)
@@ -231,7 +236,8 @@ def _cmd_bounds(args) -> int:
             raise CliError("--table1 takes no --state-bits or target flags")
         rows = bounds_mod.table1_report()
         if args.format == "csv":
-            sys.stdout.write(bounds_mod.render_table1_csv(rows))
+            header = ("feature", "quantity", "full", "scientific")
+            _emit_csv(sys.stdout, [header, *(row.__dict__.values() for row in rows)])
         elif args.format == "json":
             print(json.dumps([row.__dict__ for row in rows], indent=2))
         else:
@@ -265,8 +271,7 @@ def _cmd_bounds(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        import csv
-        csv.writer(sys.stdout, lineterminator="\n").writerows([payload.keys(), payload.values()])
+        _emit_csv(sys.stdout, [payload.keys(), payload.values()])
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -290,13 +295,16 @@ def _cmd_audit(args) -> int:
             kwargs[name] = _resolve_seed(args, allow_entropy=False)
         elif hasattr(args, name):
             kwargs[name] = getattr(args, name)
-    report = run(**kwargs)
 
-    target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
+    # --out is opened before the run, so an unwritable path costs no audit;
+    # append mode keeps an existing file's bytes until the report replaces them
+    target = nullcontext(sys.stdout) if args.out is None else open(args.out, "a", newline="", encoding="utf-8")
     with target as fh:
+        report = run(**kwargs)
+        if args.out is not None:
+            fh.truncate(0)
         if args.format == "csv":
-            import csv
-            csv.writer(fh).writerows([audit_mod.AuditReport.CSV_COLUMNS, report.csv_row()])
+            _emit_csv(fh, [audit_mod.AuditReport.CSV_COLUMNS, report.csv_row()])
         else:
             fh.write(report.to_json() + "\n")
     if args.out is not None:
@@ -306,6 +314,12 @@ def _cmd_audit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _add_seed_flags(p: argparse.ArgumentParser, seed_help="seed (integer, or any string for --prng hash)"):
+    p.add_argument("--seed", help=seed_help)
+    p.add_argument("--seed-string", help="explicit string seed for --prng hash")
+    p.add_argument("--seed-file", help="file with one hex/decimal seed line")
+
 
 def _add_generator_flags(p: argparse.ArgumentParser, default_prng="hash"):
     p.add_argument(
@@ -317,9 +331,24 @@ def _add_generator_flags(p: argparse.ArgumentParser, default_prng="hash"):
     p.add_argument("--a", type=int, help="LCG multiplier")
     p.add_argument("--c", type=int, help="LCG increment")
     p.add_argument("--m", type=int, help="LCG modulus (--prng lcg only)")
-    p.add_argument("--seed", help="seed (integer, or any string for --prng hash)")
-    p.add_argument("--seed-string", help="explicit string seed for --prng hash")
-    p.add_argument("--seed-file", help="file with one hex/decimal seed line")
+    _add_seed_flags(p)
+
+
+def _add_source_flags(p: argparse.ArgumentParser):
+    """gen's and sample's words (a generator or a scripted file) and method."""
+    _add_generator_flags(p)
+    p.add_argument("--scripted", help="scripted word file (width=<w> header)")
+    p.add_argument("--method", choices=METHODS, default="mask")
+
+
+def _add_report_flags(p: argparse.ArgumentParser, reps=None, alpha=False):
+    """An audit's --reps (with its default) and --alpha, if it takes them, and its output."""
+    if reps is not None:
+        p.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=reps)
+    if alpha:
+        p.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
+    p.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,17 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit words, fractions, or integers")
-    _add_generator_flags(g)
-    g.add_argument("--scripted", help="scripted word file (width=<w> header)")
+    _add_source_flags(g)
     g.add_argument("--count", type=int, default=10)
     g.add_argument("--as", dest="emit", choices=("words", "fractions", "integers"), default="words")
     g.add_argument("--int-range", type=int, help="integer range {1..M} for --as integers")
-    g.add_argument("--method", choices=METHODS, default="mask")
     g.set_defaults(fn=_cmd_gen)
 
     s = sub.add_parser("sample", help="draw a sample or permutation")
-    _add_generator_flags(s)
-    s.add_argument("--scripted", help="scripted word file")
+    _add_source_flags(s)
     s.add_argument("--n", type=int, help="population size 1..n")
     s.add_argument("--k", type=int, required=True, help="sample size")
     s.add_argument("--file", help="stream file for the reservoir algorithms, in place of --n (- for stdin)")
@@ -350,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="random-indices",
         help="sampling algorithm (default random-indices with mask draws)",
     )
-    s.add_argument("--method", choices=METHODS, default="mask")
     s.add_argument("--with-replacement", action="store_true")
     s.set_defaults(fn=_cmd_sample)
 
@@ -370,55 +395,34 @@ def build_parser() -> argparse.ArgumentParser:
     am = asub.add_parser("murdoch", help="even/odd split of floor vs mask integers")
     _add_generator_flags(am, default_prng="mt")
     am.add_argument("--method", choices=("floor", "mask"), required=True)
-    am.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 6)
-    _add_report_flags(am)
+    _add_report_flags(am, reps=10 ** 6)
 
     ac = asub.add_parser("coverage", help="exhaustive permutation coverage of a toy LCG")
-    ac.add_argument("--a", type=int, required=True)
-    ac.add_argument("--c", type=int, required=True)
-    ac.add_argument("--m", type=int, required=True)
-    ac.add_argument("--n", type=int, required=True)
+    for flag in ("--a", "--c", "--m", "--n"):
+        ac.add_argument(flag, type=int, required=True)
     _add_report_flags(ac)
 
-    ad = asub.add_parser("derangement", help="derangement frequency test")
-    _add_generator_flags(ad)
-    ad.add_argument("--n", type=int, default=7)
-    ad.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
-    ad.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
-    _add_report_flags(ad)
-
-    asp = asub.add_parser("spearman", help="mean rank-correlation test")
-    _add_generator_flags(asp)
-    asp.add_argument("--n", type=int, default=7)
-    asp.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
-    asp.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
-    _add_report_flags(asp)
+    for name, summary in (("derangement", "derangement frequency test"), ("spearman", "mean rank-correlation test")):
+        ap = asub.add_parser(name, help=summary)
+        _add_generator_flags(ap)
+        ap.add_argument("--n", type=int, default=7)
+        _add_report_flags(ap, reps=10 ** 4, alpha=True)
 
     af = asub.add_parser("sample-frequency", help="chi-square over all k-subsets")
     _add_generator_flags(af)
     af.add_argument("--n", type=int, default=5)
     af.add_argument("--k", type=int, default=2)
-    af.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=10 ** 4)
     af.add_argument("--algorithm", default="random_indices", choices=tuple(ALGORITHMS))
     af.add_argument("--method", choices=METHODS, default="mask")
-    af.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
-    _add_report_flags(af)
+    _add_report_flags(af, reps=10 ** 4, alpha=True)
 
     acal = asub.add_parser("calibration", help="100-repetition null battery")
-    acal.add_argument("--seed", help="base seed string")
-    acal.add_argument("--seed-string", dest="seed_string")
-    acal.add_argument("--seed-file")
+    _add_seed_flags(acal, seed_help="base seed string")
     acal.add_argument("--repetitions", type=int, default=100)
-    acal.add_argument("--alpha", type=float, default=audit_mod.DEFAULT_ALPHA)
-    _add_report_flags(acal)
+    _add_report_flags(acal, alpha=True)
 
     a.set_defaults(fn=_cmd_audit)
     return parser
-
-
-def _add_report_flags(p: argparse.ArgumentParser):
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _warn_one_line(message, category, filename, lineno, file=None, line=None):

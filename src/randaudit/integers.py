@@ -259,59 +259,47 @@ class IntDistribution:
         if sum(self.probs.values()) != 1:
             raise ValueError("probabilities must sum to exactly 1")
 
-    def probability(self, value: int) -> Fraction:
-        return self.probs.get(value, Fraction(0))
-
     def max_min_ratio(self) -> Fraction:
         """Largest over smallest nonzero selection probability."""
         ps = self.probs.values()
         return Fraction(max(ps), min(ps))
 
-    def support(self) -> list[int]:
-        return sorted(self.probs)
-
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("value,numerator,denominator\n")
-        for v in self.support():
-            p = self.probs[v]
-            fileobj.write(f"{v},{p.numerator},{p.denominator}\n")
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
 
 def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
     """Exact distribution of a method over all 2**width equally likely words.
 
-    Computed by closed-form interval counting, which agrees value for
-    value with brute-force enumeration of every word (the test suite
-    checks this).  mask is uniform 1/m by the rejection argument.
+    floor maps the words [ceil((v-1)*2^w/m), ceil(v*2^w/m)) to v, and raw
+    round (on {0..m}) the words [ceil((2v-1)*2^w/2m), ceil((2v+1)*2^w/2m)).
+    The walk starts at word 0, takes its value v from the kernel, counts
+    the words up to v's last one and goes on from the next, so it visits
+    only the values some word reaches, in increasing order: O(min(m, 2^w))
+    steps.  It agrees value for value with brute-force enumeration of every
+    word (the test suite checks this).  mask is uniform 1/m by the
+    rejection argument; its support is all of 1..m, so m is capped at
+    2**MAX_EXACT_WIDTH, the most values the other methods can reach.
     """
     if method not in KERNELS:
         raise ValueError(f"unknown method {method!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if width < 1 or width > MAX_EXACT_WIDTH:
-        raise InfeasibleSizeError(
-            f"width must be in [1, {MAX_EXACT_WIDTH}] for exact enumeration"
-        )
+    if not 1 <= width <= MAX_EXACT_WIDTH:
+        raise InfeasibleSizeError(f"width must be in [1, {MAX_EXACT_WIDTH}] for exact enumeration")
     total = 1 << width
-    probs: dict[int, Fraction] = {}
     if method == "mask":
-        probs = {v: Fraction(1, m) for v in range(1, m + 1)}
+        if m > 1 << MAX_EXACT_WIDTH:
+            raise InfeasibleSizeError(f"m must be at most 2**{MAX_EXACT_WIDTH} for an exact mask distribution")
+        probs = dict.fromkeys(range(1, m + 1), Fraction(1, m))
     else:
-        # floor maps the words [ceil((v-1)*2^w/m), ceil(v*2^w/m)) to v, raw
-        # round (on {0..m}) the words [ceil((2v-1)*2^w/2m), ceil((2v+1)*2^w/2m))
         half = int(method == "round")
-        prev = 0
-        for v in range(1 - half, m + 1):
-            hi = min(_ceil_div((2 * v + half) * total, 2 * m), total)
-            if hi > prev:
-                probs[v] = Fraction(hi - prev, total)
-            prev = hi
-            if prev >= total:
-                break
+        value = round_value_raw if half else floor_value
+        probs = {}
+        word = 0
+        while word < total:
+            v = value(word, width, m)
+            # v's words end at ceil((2v + half) * 2^w / 2m)
+            end = min(-(-(2 * v + half) * total // (2 * m)), total)
+            probs[v] = Fraction(end - word, total)
+            word = end
     return IntDistribution(method=method, width=width, m=m, probs=probs)
 
 

@@ -14,7 +14,6 @@ from randaudit.bounds import (
     factorial,
     rencontres_count,
     rencontres_counts,
-    render_table1_csv,
     render_table1_text,
     sci_string,
     stirling_bounds,
@@ -195,6 +194,3 @@ class TestRendering:
         text = render_table1_text(rows)
         assert "9.27e+6010" in text
         assert "4,294,967,296" in text
-        csv_text = render_table1_csv(rows)
-        assert csv_text.splitlines()[0] == "feature,quantity,full,scientific"
-        assert len(csv_text.splitlines()) == len(rows) + 1

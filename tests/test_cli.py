@@ -317,6 +317,52 @@ class TestAudit:
         assert out.splitlines()[0].startswith("experiment,seed,replications")
 
 
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--table1", "--format", "csv"],
+            ["bounds", "--state-bits", "32", "--target-n", "50", "--target-k", "10", "--format", "csv"],
+            ["audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "3", "--format", "csv"],
+        ],
+        ids=["table1", "row", "audit"],
+    )
+    def test_every_csv_ends_its_lines_with_crlf(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.split("\r\n")
+        assert len(lines) > 2 and lines[-1] == ""
+        assert not any("\n" in line or "\r" in line for line in lines)
+
+    def test_unopenable_out_exits_2_before_the_audit_runs(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def coverage(params, n):
+            calls.append((params, n))
+
+        monkeypatch.setitem(audit.EXPERIMENTS, "coverage", coverage)
+        code, out, err = run_cli(
+            capsys,
+            "audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "3",
+            "--out", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == USAGE_ERROR
+        assert calls == [] and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+    def test_failed_run_leaves_an_existing_out_file_as_it_was(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"old report\r\n")
+        code, out, err = run_cli(
+            capsys,
+            "audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "0",
+            "--out", str(out_path),
+        )
+        assert code == USAGE_ERROR and "n must be >= 1" in err
+        assert out_path.read_bytes() == b"old report\r\n"
+
+
 class TestUsageErrors:
     def test_scripted_exhaustion_is_a_clean_error(self, capsys, tmp_path):
         p = tmp_path / "short.txt"

@@ -1,6 +1,9 @@
-import io
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from randaudit.integers import (
     randint_round,
     round_value_raw,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def brute_distribution(method, width, m):
@@ -190,14 +195,27 @@ class TestExactDistributionContract:
             assert len(d.probs) <= 16
             assert d.probs == brute_distribution(method, 4, 100)
 
-    def test_csv_export(self):
-        d = exact_distribution("floor", 3, 3)
-        buf = io.StringIO()
-        d.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "value,numerator,denominator"
-        assert lines[1] == "1,3,8"
-        assert lines[3] == "3,1,4"
+    @pytest.mark.parametrize("method", ["floor", "round"])
+    @pytest.mark.parametrize("width, m", [(4, 10 ** 7), (10, 10 ** 9), (8, 2 ** 64 + 1), (12, 3 * 2 ** 40)])
+    def test_walk_visits_only_reachable_values(self, method, width, m):
+        # m far above 2**width, where a pass over 1..m would not finish;
+        # same values, probabilities and order as enumerating every word
+        d = exact_distribution(method, width, m)
+        assert list(d.probs.items()) == list(brute_distribution(method, width, m).items())
+
+    @pytest.mark.parametrize("m", [2 ** 24 + 1, 10 ** 12])
+    def test_mask_range_limit(self, m):
+        # in a child with its address space capped at 1 GiB, so that code
+        # without the limit fails with MemoryError instead of filling memory
+        call = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from randaudit.integers import exact_distribution\n"
+            f"exact_distribution('mask', 4, {m})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True, timeout=60, env=env)
+        assert "InfeasibleSizeError: m must be at most 2**24" in proc.stderr, proc.stderr
 
 
 class TestFloorSumAndParity:
