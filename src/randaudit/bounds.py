@@ -1,11 +1,11 @@
-"""Exact big-integer combinatorics and analytic counting bounds.
+"""Exact big-integer combinatorics and the pigeonhole table.
 
 Counting a generator's reachable outcomes against the number of
 permutations or samples of a population is a pure pigeonhole argument, so
-everything here is exact: factorials and binomials are arbitrary-precision
-integers, attainability fractions and the entropy bounds are rationals,
-and the two bounds with pi, e or square roots (Stirling, combination) are
-50-digit decimals, far beyond the gap between each bound and its target.
+everything here is an exact integer or rational: factorials, binomials
+and derangement counts are arbitrary-precision integers, attainability
+fractions and L1 lower bounds are Fractions, and decimal renderings are
+rounded from those in integer arithmetic.
 
 Exact values are limited to MAX_BITS bits, checked from a cheap estimate
 before anything large is computed.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import InfeasibleSizeError
@@ -31,9 +30,6 @@ __all__ = [
     "decimal_string",
     "AttainabilityReport",
     "attainable_fraction",
-    "stirling_bounds",
-    "entropy_bounds",
-    "stirling_combination_bound",
     "Table1Row",
     "table1_values",
     "table1_report",
@@ -173,7 +169,6 @@ class AttainabilityReport:
     """
 
     state_bits: int
-    state_space: int
     target: int
     fraction: Fraction
     l1_lower_bound: Fraction
@@ -191,54 +186,10 @@ def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:
     l1 = max(Fraction(0), 2 * Fraction(target - states, target))
     return AttainabilityReport(
         state_bits=state_bits,
-        state_space=states,
         target=target,
         fraction=fraction,
         l1_lower_bound=l1,
     )
-
-
-# ---------------------------------------------------------------------------
-# Analytic bounds: exact rationals, or 50-digit decimals
-
-# every operation rounds in this context; the default one has 28 digits and
-# overflows near 10**999999 (10**9 ** 10**9 is about 10**(9 * 10**9))
-_CTX = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-
-
-def stirling_bounds(n: int) -> tuple[Decimal, Decimal]:
-    """(lower, upper) with lower <= n! <= upper, as 50-digit Decimals:
-    sqrt(2 pi) n^(n+1/2) e^-n <= n! <= e n^(n+1/2) e^-n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = _CTX
-    root = c.multiply(c.power(n, n), c.sqrt(n))  # n^(n+1/2)
-    lower = c.multiply(c.multiply(c.sqrt(c.multiply(2, _PI)), root), c.exp(-n))
-    return lower, c.multiply(root, c.exp(1 - n))
-
-
-def entropy_bounds(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """(lower, upper) with lower <= C(n,k) <= upper, as exact Fractions:
-    2^(n H(k/n)) / (n+1) <= C(n,k) <= 2^(n H(k/n)),
-    H(q) = -q log2 q - (1-q) log2 (1-q), and 2^(n H(k/n)) is exactly
-    n^n / (k^k (n-k)^(n-k))."""
-    if not 0 < k < n:
-        raise ValueError("need 0 < k < n")
-    # n^n has about n log2 n bits; the bounds bracket C(n, k), which has the same limit
-    _check_bits(n * math.log2(n), f"the entropy bounds on C({n},{k})")
-    upper = Fraction(n ** n, k ** k * (n - k) ** (n - k))
-    return upper / (n + 1), upper
-
-
-def stirling_combination_bound(l: int, m: int) -> Decimal:
-    """Lower bound m^(m(l-1)+1) / (sqrt(l) (m-1)^((m-1)(l-1))) <= C(l*m, l),
-    as a 50-digit Decimal."""
-    if l < 1 or m < 2:
-        raise ValueError("need l >= 1 and m >= 2")
-    c = _CTX
-    den = c.multiply(c.sqrt(l), c.power(m - 1, (m - 1) * (l - 1)))
-    return c.divide(c.power(m, m * (l - 1) + 1), den)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ than raw draws:
   harness computes those cell boundaries exactly, branches over the cells
   with their exact widths, and hands the real code a representative v
   from strictly inside each cell; the implementation still derives the
-  skip itself.  The implementation accumulates q in floats, but at the
-  sizes enumerated here every cell is wider than 1e-3 while float error
-  stays below 1e-14, so a representative can never be seen on the wrong
-  side of a boundary.
+  skip itself.  The implementation accumulates q in floats, but for
+  n <= 12 every cell is wider than 9e-4 (the narrowest, 5/5544, is at
+  n = 12, k = t = 5, skip 6) while float error stays below 1e-14, so a
+  representative can never be seen on the wrong side of a boundary.
 
 random_indices without replacement rejects duplicates; a duplicate draw
 leaves the algorithm state unchanged, so the next accepted value is

@@ -7,7 +7,6 @@ via scripts/acceptance.py, which runs this module standalone).
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from randaudit import audit, bounds
@@ -126,24 +125,20 @@ def test_c5_exhaustive_uniformity():
 
 
 def test_c6_bound_inequalities():
-    violations = 0
-    with mpmath.workdps(60):
-        for n in range(1, 201):
-            lower, upper = bounds.stirling_bounds(n)
-            exact = bounds.factorial(n)
-            if not (lower <= exact <= upper):
-                violations += 1
-        for n in range(2, 101):
-            for k in range(1, n):
-                lower, upper = bounds.entropy_bounds(n, k)
-                exact = bounds.binomial(n, k)
-                if not (lower <= exact <= upper):
-                    violations += 1
-        for l in range(1, 11):
-            for m in range(2, 11):
-                if not bounds.stirling_combination_bound(l, m) <= bounds.binomial(l * m, l):
-                    violations += 1
-    _report("C6 bound inequalities", violations == 0, f"violations={violations}")
+    # the pigeonhole inequalities behind the table, in exact integers: n is
+    # the fewest items whose permutations outnumber the states, each sample
+    # count outnumbers its states, and a state space that falls short forces
+    # an L1 distance of at least 2 (1 - states / target)
+    violations = []
+    for bits, n in [(32, 13), (64, 21), (128, 35), (32 * 624, 2084)]:
+        if not bounds.factorial(n - 1) <= 1 << bits < bounds.factorial(n):
+            violations.append(f"{n}! vs 2^{bits}")
+    for bits, n, k in [(32, 50, 10), (64, 500, 10), (128, 500, 25), (32 * 624, 390_000_000, 1000)]:
+        target = bounds.binomial(n, k)
+        rep = bounds.attainable_fraction(bits, target)
+        if not (target > 1 << bits and rep.l1_lower_bound == 2 * (1 - rep.fraction) > 0):
+            violations.append(f"C({n},{k}) vs 2^{bits}")
+    _report("C6 bound inequalities", not violations, f"violations={violations}")
 
 
 def test_c7_calibration():

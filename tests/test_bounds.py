@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +9,11 @@ from randaudit.bounds import (
     binomial,
     decimal_string,
     derangement_count,
-    entropy_bounds,
     factorial,
     rencontres_count,
     rencontres_counts,
     render_table1_text,
     sci_string,
-    stirling_bounds,
-    stirling_combination_bound,
     table1_report,
     table1_values,
 )
@@ -113,48 +109,6 @@ class TestAttainability:
         assert bigger.fraction >= rep.fraction
         harder = attainable_fraction(bits, target + 1)
         assert harder.fraction <= rep.fraction
-
-
-class TestAnalyticBounds:
-    def test_stirling_n5(self):
-        lower, upper = stirling_bounds(5)
-        assert float(lower) == pytest.approx(118.019, abs=0.01)
-        assert float(upper) == pytest.approx(127.986, abs=0.01)
-        assert lower <= 120 <= upper
-
-    def test_stirling_n1(self):
-        lower, upper = stirling_bounds(1)
-        assert lower <= 1 <= upper
-
-    def test_stirling_brackets_up_to_50(self):
-        with mpmath.workdps(60):
-            for n in range(1, 51):
-                lower, upper = stirling_bounds(n)
-                exact = factorial(n)
-                assert lower <= exact <= upper
-
-    def test_entropy_bounds_4_2(self):
-        lower, upper = entropy_bounds(4, 2)
-        assert float(lower) == pytest.approx(3.2)
-        assert float(upper) == pytest.approx(16.0)
-        assert lower <= binomial(4, 2) <= upper
-
-    def test_entropy_domain(self):
-        with pytest.raises(ValueError):
-            entropy_bounds(4, 0)
-        with pytest.raises(ValueError):
-            entropy_bounds(4, 4)
-
-    def test_combination_bound_2_3(self):
-        bound = stirling_combination_bound(2, 3)
-        assert float(bound) == pytest.approx(14.3189, abs=1e-3)
-        assert bound <= binomial(6, 2)
-
-    def test_combination_bound_domain(self):
-        with pytest.raises(ValueError):
-            stirling_combination_bound(0, 3)
-        with pytest.raises(ValueError):
-            stirling_combination_bound(2, 1)
 
 
 class TestRendering:

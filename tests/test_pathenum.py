@@ -97,6 +97,23 @@ def test_vitter_z_follows_skip_cells_on_long_streams():
         src.fraction()  # every scripted fraction was used
 
 
+def test_vitter_z_skip_cells_are_wider_than_float_error():
+    # the margin the pathenum docstring states: for n <= 12 every cell is
+    # wider than 9e-4, and vitter_z's float products of (i - k) / i stay
+    # within 1e-14 of the exact boundaries, so a cell's midpoint lands in it
+    widths = []
+    for n in range(2, 13):
+        for t in range(1, n):
+            for k in range(1, t + 1):
+                widths += [p for _, p, _ in _skip_cells(k, t, n - t)]
+                quot, exact = 1.0, Fraction(1)
+                for i in range(t + 1, n + 1):
+                    quot *= (i - k) / i
+                    exact *= Fraction(i - k, i)
+                    assert abs(Fraction(quot) - exact) < 1e-14
+    assert min(widths) == Fraction(5, 5544) > 9e-4
+
+
 def test_replay_randints_branches_at_the_first_unscripted_draw():
     src = _Replay(((3, 5), (1, 4)), ())
     with pytest.raises(_NeedDraw) as need:

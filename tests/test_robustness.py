@@ -331,21 +331,6 @@ def test_cli_audits_run_without_scipy_sympy_or_numpy():
     assert run_main_in_one_process(commands) == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
-def test_analytic_bounds_run_without_mpmath():
-    # the bounds are exact rationals or decimal-module values; mpmath is a
-    # test oracle only
-    script = (
-        "import sys\n"
-        "from randaudit import bounds\n"
-        "bounds.stirling_bounds(10 ** 9), bounds.entropy_bounds(50, 10)\n"
-        "bounds.stirling_combination_bound(10, 10)\n"
-        "print('mpmath' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env)
-    assert proc.stdout == "False\n", proc.stderr
-
-
 # ---------------------------------------------------------------------------
 # An argv fuzz over gen and sample: every well-formed command line runs, or
 # ends in exit 2 or 3 with a one-line error; warnings are one line each,

@@ -2,16 +2,24 @@
 ``__all__``, or re-exported on purpose on a ``# noqa: F401`` line.  The
 package ``__init__`` is left out: it imports only to re-export.
 
-Standard library only, so the check runs wherever the tests do.
+The ``test`` extra in pyproject.toml names exactly the third-party modules
+that tests/, perfbench/ and scripts/ import, so an oracle nothing uses any
+more is not installed, and one that something uses is declared.
+
+Standard library only, so the checks run wherever the tests do.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "randaudit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "randaudit"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+TEST_TREES = ("tests", "perfbench", "scripts")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -37,6 +45,32 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def third_party_imports(root: Path) -> set[str]:
+    """Top-level modules that the code under ``root``'s TEST_TREES imports
+    or hands to ``pytest.importorskip``, less the standard library,
+    randaudit and the trees' own modules."""
+    paths = [path for tree in TEST_TREES for path in (root / tree).rglob("*.py")]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                names.add(node.args[0].value)
+    local = {path.stem for path in paths} | {"randaudit"}
+    return {name.partition(".")[0] for name in names} - local - set(sys.stdlib_module_names)
+
+
+def declared_test_extra(pyproject: Path) -> set[str]:
+    """The names in pyproject.toml's ``test`` extra, without version pins."""
+    import tomllib
+
+    extra = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["optional-dependencies"]["test"]
+    return {re.match(r"[\w.-]+", requirement).group() for requirement in extra}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -52,3 +86,30 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "print(chain)\n"
     )
     assert unused_imports(module) == ["m.py:1: islice"]
+
+
+needs_tomllib = pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+
+
+@needs_tomllib
+def test_test_extra_is_what_the_tests_import():
+    assert declared_test_extra(ROOT / "pyproject.toml") == third_party_imports(ROOT)
+
+
+@needs_tomllib
+def test_the_check_sees_an_undeclared_and_an_unused_module(tmp_path):
+    (tmp_path / "pyproject.toml").write_text(
+        '[project.optional-dependencies]\ntest = ["pytest>=7", "mpmath"]\n'
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "helper.py").write_text("")
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "import os.path\n"
+        "import pytest\n"
+        "import helper\n"
+        "from randaudit import bounds\n"
+        "from numpy.random import default_rng\n"
+        "stats = pytest.importorskip('scipy.stats')\n"
+    )
+    assert declared_test_extra(tmp_path / "pyproject.toml") == {"pytest", "mpmath"}
+    assert third_party_imports(tmp_path) == {"pytest", "numpy", "scipy"}
