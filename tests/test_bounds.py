@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,20 @@ class TestRendering:
         # large exponents fall back to scientific notation
         assert decimal_string(123456789, 3) == "1.23e+8"
         assert decimal_string(Fraction(1, 10 ** 15), 3) == "1.00e-15"
+
+    def test_renderings_are_pinned(self):
+        # SHA-256 over both renderings at sig 1-8: carries (9995, 99995,
+        # 9999/1000), the plain/scientific boundary and wide rationals
+        values = [
+            *table1_values().values(),
+            9995, -9995, Fraction(9999, 1000), 99995, Fraction(199, 2 * 10 ** 11),
+            Fraction(1, 3), Fraction(-1, 8), Fraction(1, 10 ** 15), Fraction(2 ** 2000 - 1, 3 ** 1000),
+        ]
+        digest = hashlib.sha256()
+        for value in values:
+            for sig in range(1, 9):
+                digest.update(f"{sci_string(value, sig)} {decimal_string(value, sig)}\n".encode())
+        assert digest.hexdigest() == "d83d77cd17738aea0d7d98947bc9220b3a79c1037354d8eef6f9adc93299fb46"
 
     def test_table1_values(self):
         v = table1_values()

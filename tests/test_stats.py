@@ -5,6 +5,7 @@ rule and ``audit._chisquare`` follows ``scipy.stats.chisquare``; both are
 compared here over grids that reach n = 10**6 and df = 30.
 """
 
+import hashlib
 import math
 import random
 
@@ -32,6 +33,20 @@ def test_binomial_pvalue_matches_scipy():
     for k, n, p in cases:
         expected = binomtest(k, n, p).pvalue
         assert math.isclose(audit._binom_pvalue(k, n, p), expected, rel_tol=1e-11), (k, n, p)
+
+
+# SHA-256 over repr of the p-value and both tails at every grid point; the
+# scipy comparison above allows 1e-11 and would not see a 1-ulp drift
+BINOMIAL_BITS = "653f796a5c1a0549831a1dc15d92aa2ba3002f0b368786fc52a4abdef058515a"
+
+
+def test_binomial_pvalue_and_tails_are_bit_pinned():
+    digest = hashlib.sha256()
+    for k, n, p in binomial_grid():
+        pvalue = audit._binom_pvalue(k, n, p)
+        upper, lower = (audit._binom_tail(k, n, p, 1 - p, up) for up in (True, False))
+        digest.update(f"{pvalue!r} {upper!r} {lower!r}\n".encode())
+    assert digest.hexdigest() == BINOMIAL_BITS
 
 
 @pytest.mark.parametrize("df", range(1, 31))
