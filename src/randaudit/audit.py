@@ -193,10 +193,10 @@ def _bd0(x: float, mean: float) -> float:
 def _binom_pmf(k: int, n: int, p: float, q: float) -> float:
     """P(X = k) for X ~ Binomial(n, p), 0 < p < 1, q = 1 - p, by Loader's
     saddle point: accurate to a few ulps at any n."""
-    if k == 0:
-        return math.exp(-_bd0(n, n * q) - n * p if p < 0.1 else n * math.log(q))
-    if k == n:
-        return math.exp(-_bd0(n, n * p) - n * q if q < 0.1 else n * math.log(p))
+    if k in (0, n):
+        # P(X = n) is P(Y = 0) for Y = n - X ~ Binomial(n, q)
+        r, s = (p, q) if k == 0 else (q, p)
+        return math.exp(-_bd0(n, n * s) - n * r if r < 0.1 else n * math.log(s))
     lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
     lf = _LN_2PI + math.log(k) + math.log1p(-k / n)
     return math.exp(lc - 0.5 * lf)
@@ -206,25 +206,21 @@ def _binom_tail(k: int, n: int, p: float, q: float, up: bool) -> float:
     """P(X >= k) if ``up`` else P(X <= k), for k on the far side of the mode.
 
     Sums outward from pmf(k) by the ratio pmf(j+1)/pmf(j) = (n-j)p/((j+1)q)
-    and stops once a term is below 1e-18 of the sum.
+    and stops once a term is below 1e-18 of the sum.  The lower tail is the
+    same walk over n - X ~ Binomial(n, q) from n - k, which multiplies by
+    the same factors in the same order.
     """
     if not 0 <= k <= n:
         return 0.0
     term, total = _binom_pmf(k, n, p, q), 0.0
-    if up:
-        ratio = p / q
-        for j in range(k, n + 1):
-            total += term
-            term *= (n - j) / (j + 1) * ratio
-            if term <= 1e-18 * total:
-                break
-    else:
-        ratio = q / p
-        for j in range(k, -1, -1):
-            total += term
-            term *= j / (n - j + 1) * ratio
-            if term <= 1e-18 * total:
-                break
+    if not up:
+        k, p, q = n - k, q, p
+    ratio = p / q
+    for j in range(k, n + 1):
+        total += term
+        term *= (n - j) / (j + 1) * ratio
+        if term <= 1e-18 * total:
+            break
     return total
 
 
@@ -494,10 +490,8 @@ def derangement_test(
     p_binom = _binom_pvalue(derangements, replications, float(p_derange))
 
     obs_cells = list(fixed_counts)
-    # fixing exactly n-1 points is impossible; fold that empty cell into the
-    # identity cell, then fold the sparse right tail until expected >= 10
-    exp_cells[n] += exp_cells[n - 1]
-    obs_cells[n] += obs_cells[n - 1]
+    # fixing exactly n-1 points is impossible, so that cell is 0 in both lists;
+    # drop it, then fold the sparse right tail until expected >= 10
     del exp_cells[n - 1], obs_cells[n - 1]
     while len(exp_cells) > 2 and exp_cells[-1] < 10 * total:
         exp_cells[-2] += exp_cells[-1]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import InfeasibleSizeError
 
@@ -66,16 +67,19 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _derangements():
+    """D_0, D_1, D_2, ... by D_i = (i - 1) (D_{i-1} + D_{i-2})."""
+    d, d_next = 1, 0
+    for i in count(2):
+        yield d
+        d, d_next = d_next, (i - 1) * (d_next + d)
+
+
 def derangement_count(n: int) -> int:
     """Number of permutations of n items with no fixed point."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    prev2, prev1 = 1, 0  # D_0, D_1
-    for i in range(2, n + 1):
-        prev2, prev1 = prev1, (i - 1) * (prev1 + prev2)
-    return prev1
+    return next(islice(_derangements(), n, None))
 
 
 def rencontres_count(n: int, j: int) -> int:
@@ -89,70 +93,63 @@ def rencontres_counts(n: int) -> list[int]:
     """rencontres_count(n, j) for j = 0..n, from one pass over D_0..D_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = [1, 0]
-    for i in range(2, n + 1):
-        d.append((i - 1) * (d[-1] + d[-2]))
-    return [math.comb(n, j) * d[n - j] for j in range(n + 1)]
+    # C(n, i) D_i permutations fix exactly n - i points
+    return [math.comb(n, i) * d for i, d in zip(range(n + 1), _derangements())][::-1]
 
 
 # ---------------------------------------------------------------------------
 # Exact decimal rendering for astronomically sized rationals
 
-def _decimal_exponent(num: int, den: int) -> tuple[int, int, int]:
+def _rounded(value, sig: int) -> tuple[str, int, int, str]:
+    """value's sign, its decimal exponent, and its exponent and sig leading
+    digits after rounding half up, in exact integer arithmetic; the digits
+    are empty for 0.  A carry to 10**sig moves the rounded exponent."""
+    if sig < 1:
+        raise ValueError("sig must be >= 1")
+    fr = Fraction(value)
+    if fr == 0:
+        return "", 0, 0, ""
+    num, den = abs(fr.numerator), fr.denominator
     # largest e with 10^e <= num/den, via a bit-length estimate refined by
     # at most a couple of exact steps
     e = (num.bit_length() - den.bit_length()) * 30103 // 100000
     if e >= 0:
-        den_s, num_s = den * 10 ** e, num
+        den *= 10 ** e
     else:
-        den_s, num_s = den, num * 10 ** (-e)
-    while num_s < den_s:
-        num_s *= 10
+        num *= 10 ** (-e)
+    while num < den:
+        num *= 10
         e -= 1
-    while num_s >= 10 * den_s:
-        den_s *= 10
+    while num >= 10 * den:
+        den *= 10
         e += 1
-    return e, num_s, den_s
-
-
-def _round_half_up(e: int, num: int, den: int, sig: int) -> tuple[int, str]:
-    # (num/den) * 10**e with num/den in [1, 10), as its exponent and its sig
-    # leading digits, rounded half up; a carry to 10 moves the exponent
     mant = (num * 10 ** (sig - 1) * 2 + den) // (2 * den)
-    if mant >= 10 ** sig:
-        mant //= 10
-        e += 1
-    return e, str(mant)
+    carry = mant >= 10 ** sig
+    return "-" if fr < 0 else "", e, e + carry, str(mant // 10 if carry else mant)
 
 
 def sci_string(value, sig: int = 3) -> str:
     """value rendered as d.dd...e+exp with sig significant digits, computed
     in exact integer arithmetic (round half up)."""
-    fr = Fraction(value)
-    if fr < 0:
-        return "-" + sci_string(-fr, sig)
-    if fr == 0:
+    sign, _, e, s = _rounded(value, sig)
+    if not s:
         return "0e+0"
-    e, s = _round_half_up(*_decimal_exponent(fr.numerator, fr.denominator), sig)
-    return (f"{s[0]}.{s[1:]}e{e:+d}") if sig > 1 else f"{s}e{e:+d}"
+    return f"{sign}{s[0]}.{s[1:]}e{e:+d}" if sig > 1 else f"{sign}{s}e{e:+d}"
 
 
 def decimal_string(value, sig: int = 6) -> str:
     """Plain decimal (0.0750445 style) when the exponent is moderate,
     falling back to sci_string otherwise."""
-    fr = Fraction(value)
-    if fr == 0:
+    sign, e_exact, e, digits = _rounded(value, sig)
+    if not digits:
         return "0"
-    e, num, den = _decimal_exponent(abs(fr).numerator, abs(fr).denominator)
-    if -9 <= e < sig + 3:
-        e, digits = _round_half_up(e, num, den, sig)
-        sign = "-" if fr < 0 else ""
-        if e >= sig - 1:
-            return sign + digits + "0" * (e - sig + 1)
-        if e >= 0:
-            return sign + digits[: e + 1] + "." + digits[e + 1 :]
-        return sign + "0." + "0" * (-e - 1) + digits
-    return sci_string(fr, sig)
+    if not -9 <= e_exact < sig + 3:
+        return sci_string(value, sig)
+    if e >= sig - 1:
+        return sign + digits + "0" * (e - sig + 1)
+    if e >= 0:
+        return sign + digits[: e + 1] + "." + digits[e + 1 :]
+    return sign + "0." + "0" * (-e - 1) + digits
 
 
 # ---------------------------------------------------------------------------

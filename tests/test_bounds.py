@@ -1,5 +1,7 @@
 import hashlib
 from fractions import Fraction
+from itertools import permutations
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -73,9 +75,14 @@ class TestExactCombinatorics:
         assert rencontres_count(5, 4) == 0  # exactly n-1 fixed points is impossible
 
     def test_rencontres_cells_in_one_pass(self):
-        # the derangement audit's expected cells, one list per n
-        for n in range(0, 41):
-            assert rencontres_counts(n) == [rencontres_count(n, j) for j in range(n + 1)]
+        # the derangement audit's expected cells, against a count of fixed
+        # points over every permutation
+        for n in range(0, 8):
+            cells = [0] * (n + 1)
+            for perm in permutations(range(n)):
+                cells[sum(map(eq, perm, range(n)))] += 1
+            assert rencontres_counts(n) == cells
+            assert [rencontres_count(n, j) for j in range(n + 1)] == cells
         with pytest.raises(ValueError):
             rencontres_counts(-1)
 
@@ -123,6 +130,12 @@ class TestRendering:
 
     def test_sci_string_rounding_carry(self):
         assert sci_string(Fraction(9999, 1000), 3) == "1.00e+1"
+
+    def test_sig_below_one_is_refused(self):
+        for render in (sci_string, decimal_string):
+            for value, sig in ((Fraction(1, 3), 0), (Fraction(1, 3), -1), (0, 0)):
+                with pytest.raises(ValueError, match="sig must be >= 1"):
+                    render(value, sig)
 
     def test_decimal_string(self):
         assert decimal_string(Fraction(418112, 1000000), 6) == "0.418112"

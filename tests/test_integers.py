@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from randaudit.errors import InfeasibleSizeError, UnreachableValuesWarning
 from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import (
+    IntDistribution,
     RandomSource,
     exact_distribution,
     floor_even_probability,
@@ -194,6 +195,13 @@ class TestExactDistributionContract:
             assert sum(d.probs.values()) == 1
             assert len(d.probs) <= 16
             assert d.probs == brute_distribution(method, 4, 100)
+
+    def test_probabilities_must_total_exactly_one(self):
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            IntDistribution("floor", 2, 2, {1: Fraction(1, 2), 2: Fraction(1, 3)})
+        # mask denominators are m, not a divisor of 2**width
+        d = IntDistribution("mask", 2, 3, dict.fromkeys((1, 2, 3), Fraction(1, 3)))
+        assert d.max_min_ratio() == 1
 
     @pytest.mark.parametrize("method", ["floor", "round"])
     @pytest.mark.parametrize("width, m", [(4, 10 ** 7), (10, 10 ** 9), (8, 2 ** 64 + 1), (12, 3 * 2 ** 40)])

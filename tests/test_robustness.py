@@ -120,6 +120,8 @@ def test_oversized_bounds_exit_3(argv):
     [
         # D_1700 / 1700! has about 4,700 digits, past the int-to-text limit
         (1700, "too many digits to print"),
+        # refused from D_n alone, before the expected cells (over 10 s here)
+        (10000, "too many digits to print"),
         (30000, "wider than the 262144-bit limit"),
     ],
 )

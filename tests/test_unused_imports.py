@@ -2,6 +2,10 @@
 ``__all__``, or re-exported on purpose on a ``# noqa: F401`` line.  The
 package ``__init__`` is left out: it imports only to re-export.
 
+Every module-level private name (one leading underscore) in src/randaudit
+is read somewhere in the package outside its own definition, so a helper
+that a change stops calling is deleted with it.
+
 The ``test`` extra in pyproject.toml names exactly the third-party modules
 that tests/, perfbench/ and scripts/ import, so an oracle nothing uses any
 more is not installed, and one that something uses is declared.
@@ -45,6 +49,34 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def orphaned_private_names(paths) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    underscore that no top-level statement of ``paths`` other than their own
+    definition reads, as a Name or as an attribute."""
+    defined, reads = [], []  # (where, name, statement index), names read per statement
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}: {name}", name, len(reads)))
+            reads.append(
+                {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            )
+    return [
+        where for where, name, own in defined
+        if not any(name in read for i, read in enumerate(reads) if i != own)
+    ]
+
+
 def third_party_imports(root: Path) -> set[str]:
     """Top-level modules that the code under ``root``'s TEST_TREES imports
     or hands to ``pytest.importorskip``, less the standard library,
@@ -86,6 +118,26 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "print(chain)\n"
     )
     assert unused_imports(module) == ["m.py:1: islice"]
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_check_sees_an_orphaned_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_unused = 4\n"
+        "def _recurse(n):\n"
+        "    return _recurse(n - 1) if n else 0\n"
+        "class _Orphan:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\nprint(a._helper())\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert orphaned_private_names(paths) == ["a.py:2: _unused", "a.py:3: _recurse", "a.py:5: _Orphan"]
 
 
 needs_tomllib = pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
