@@ -132,9 +132,12 @@ def sci_string(value, sig: int = 3) -> str:
     """value rendered as d.dd...e+exp with sig significant digits, computed
     in exact integer arithmetic (round half up)."""
     sign, _, e, s = _rounded(value, sig)
-    if not s:
-        return "0e+0"
-    return f"{sign}{s[0]}.{s[1:]}e{e:+d}" if sig > 1 else f"{sign}{s}e{e:+d}"
+    return _sci(sign, e, s) if s else "0e+0"
+
+
+def _sci(sign: str, e: int, digits: str) -> str:
+    point = "." if len(digits) > 1 else ""
+    return f"{sign}{digits[0]}{point}{digits[1:]}e{e:+d}"
 
 
 def decimal_string(value, sig: int = 6) -> str:
@@ -144,7 +147,7 @@ def decimal_string(value, sig: int = 6) -> str:
     if not digits:
         return "0"
     if not -9 <= e_exact < sig + 3:
-        return sci_string(value, sig)
+        return _sci(sign, e, digits)
     if e >= sig - 1:
         return sign + digits + "0" * (e - sig + 1)
     if e >= 0:

@@ -29,7 +29,6 @@ path enumeration replays each path.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,9 +246,9 @@ class IntDistribution:
     """Exact induced distribution of an integer method at width w.
 
     ``probs`` maps each attainable value to its probability as an exact
-    rational: a denominator dividing 2**width for floor and round, 1/m for
-    mask.  floor and mask live on {1..m}; the raw round method also
-    reaches 0.
+    rational, with a denominator dividing 2**width for floor and round and
+    equal to m for mask.  floor and mask live on {1..m}; the raw round
+    method also reaches 0.
     """
 
     method: str
@@ -258,11 +257,7 @@ class IntDistribution:
     probs: dict[int, Fraction]
 
     def __post_init__(self):
-        # numerators over the least common denominator, in integers: a sum
-        # of Fractions reduces by a gcd at every step
-        probs = self.probs.values()
-        lcd = math.lcm(*(p.denominator for p in probs))
-        if sum(p.numerator * (lcd // p.denominator) for p in probs) != lcd:
+        if sum(self.probs.values()) != 1:
             raise ValueError("probabilities must sum to exactly 1")
 
     def max_min_ratio(self) -> Fraction:
