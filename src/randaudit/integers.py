@@ -246,9 +246,8 @@ class IntDistribution:
     """Exact induced distribution of an integer method at width w.
 
     ``probs`` maps each attainable value to its probability as an exact
-    rational, with a denominator dividing 2**width for floor and round and
-    equal to m for mask.  floor and mask live on {1..m}; the raw round
-    method also reaches 0.
+    rational, over a divisor of 2**width for floor and round and over m for
+    mask.  floor and mask live on {1..m}; the raw round method also reaches 0.
     """
 
     method: str
