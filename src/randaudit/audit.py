@@ -54,6 +54,12 @@ __all__ = [
 MURDOCH_M = 1_717_986_918
 MURDOCH_SCALE = (2 ** 33, 5)
 
+# Parity of floor(q * w / d) by w mod 2d, with q / d the scale over 2^32
+# in lowest terms (2/5); entry r is 1, an even draw, at r = 3, 4, 8 and 9
+# (see murdoch_experiment for why the residue decides it).
+_Q, _D = Fraction(MURDOCH_SCALE[0], MURDOCH_SCALE[1] << 32).as_integer_ratio()
+_FLOOR_PARITY = tuple(_Q * r // _D & 1 for r in range(2 * _D))
+
 DEFAULT_ALPHA = 0.001
 
 
@@ -348,9 +354,13 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     method="mask" draws uniformly on {1..m}; m is even, so exactly half
     the range is even and the observed fraction sits at 50%.
 
-    The floor draws' parity is taken at the reduced scale: with num/den the
-    scale over 2^32 in lowest terms q/d, each word's draw is
-    1 + floor(q * word / d), the same integer floor_value_scaled gives.
+    Each floor draw is 1 + floor(q * word / d), with q/d = 2/5 the scale
+    over 2^32 in lowest terms: the same integer floor_value_scaled gives.
+    Its parity is read from a 2d-entry table at word mod 2d (10), which is
+    exact because floor(q(w + 2dt) / d) = floor(q * w / d) + 2qt: moving
+    the word by a multiple of 2d moves the floor by an even number.  So
+    the words read (one per draw) and even_count are those of the
+    multiply-and-divide, without a big-integer product per word.
     """
     if gen.width != 32:
         raise ValueError("the even/odd experiment requires 32-bit words")
@@ -363,17 +373,14 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     even = 0
     if method == "floor":
         reference = floor_even_probability(32, num, den)
-        # floor(num * w / (den * 2^32)) is floor(q * w / d) for the reduced
-        # fraction q / d (2/5); the draw is 1 + that, even when it is odd
-        g = math.gcd(num, den << 32)
-        q, d = num // g, (den << 32) // g
+        parity, period = _FLOOR_PARITY, len(_FLOOR_PARITY)
     else:
         reference = Fraction(MURDOCH_M // 2, MURDOCH_M)
         randints = RandomSource(gen).randints
     for done in range(0, replications, DRAW_CHUNK):
         chunk = min(DRAW_CHUNK, replications - done)
         if method == "floor":
-            even += sum([q * w // d & 1 for w in gen.words(chunk)])
+            even += sum([parity[w % period] for w in gen.words(chunk)])
         else:
             even += chunk - sum([v % 2 for v in randints(repeat(MURDOCH_M, chunk))])
 

@@ -49,11 +49,17 @@ def _check_bits(bits: float, what: str) -> None:
         raise InfeasibleSizeError(f"{what} is wider than the {MAX_BITS}-bit limit for exact values")
 
 
-def factorial(n: int) -> int:
+def _check_factorial(n: int) -> None:
+    """Refuse n < 0, and an n whose n! is wider than MAX_BITS; n! also
+    bounds D_n and every rencontres cell."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     # n! >= 2**n once n >= 4, so n itself bounds the width from below
     _check_bits(n if n > MAX_BITS else math.lgamma(n + 1) / math.log(2), f"{n}!")
+
+
+def factorial(n: int) -> int:
+    _check_factorial(n)
     return math.factorial(n)
 
 
@@ -77,8 +83,7 @@ def _derangements():
 
 def derangement_count(n: int) -> int:
     """Number of permutations of n items with no fixed point."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_factorial(n)
     return next(islice(_derangements(), n, None))
 
 
@@ -91,8 +96,7 @@ def rencontres_count(n: int, j: int) -> int:
 
 def rencontres_counts(n: int) -> list[int]:
     """rencontres_count(n, j) for j = 0..n, from one pass over D_0..D_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_factorial(n)
     # C(n, i) D_i permutations fix exactly n - i points
     return [math.comb(n, i) * d for i, d in zip(range(n + 1), _derangements())][::-1]
 

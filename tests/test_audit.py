@@ -12,6 +12,7 @@ from randaudit.audit import (
     EXPERIMENTS,
     MURDOCH_M,
     MURDOCH_SCALE,
+    _FLOOR_PARITY,
     AuditReport,
     calibration,
     derangement_test,
@@ -31,7 +32,7 @@ from randaudit.generators import (
     Mt19937Generator,
     ScriptedGenerator,
 )
-from randaudit.integers import DRAW_CHUNK, floor_value_scaled
+from randaudit.integers import DRAW_CHUNK, floor_even_probability, floor_value_scaled
 
 
 class TestMurdoch:
@@ -76,12 +77,34 @@ class TestMurdoch:
     @given(st.integers(0, 2 ** 32 - 1))
     @example(0)
     @example(2 ** 32 - 1)
+    # the top ten words, one per residue class mod 10 (2^32 - 1 is 5)
+    @example(2 ** 32 - 10)
+    @example(2 ** 32 - 9)
+    @example(2 ** 32 - 8)
+    @example(2 ** 32 - 7)
+    @example(2 ** 32 - 6)
+    @example(2 ** 32 - 5)
+    @example(2 ** 32 - 4)
+    @example(2 ** 32 - 3)
+    @example(2 ** 32 - 2)
     def test_reduced_scale_floor_is_the_scaled_kernel(self, w):
         num, den = MURDOCH_SCALE
         g = math.gcd(num, den << 32)
         q, d = num // g, (den << 32) // g
         assert (q, d) == (2, 5)
         assert q * w // d == floor_value_scaled(w, 32, num, den) - 1
+        # the parity the audit reads for this word
+        assert _FLOOR_PARITY[w % 10] == (floor_value_scaled(w, 32, num, den) - 1) & 1
+
+    def test_floor_parity_table_over_every_word_is_the_exact_reference(self):
+        # no sampling: each residue class mod 10 counted over all 2^32 words
+        assert [r for r, odd in enumerate(_FLOOR_PARITY) if odd] == [3, 4, 8, 9]
+        per_residue = [len(range(r, 2 ** 32, 10)) for r in range(10)]
+        assert per_residue == [429_496_730] * 6 + [429_496_729] * 4
+        even = sum(n for n, odd in zip(per_residue, _FLOOR_PARITY) if odd)
+        assert even == 1_717_986_918
+        assert Fraction(even, 2 ** 32) == floor_even_probability(32, *MURDOCH_SCALE)
+        assert Fraction(even, 2 ** 32) == Fraction(858_993_459, 2 ** 31)
 
     def test_width_must_be_32(self):
         with pytest.raises(ValueError):

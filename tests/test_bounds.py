@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randaudit.bounds import (
+    MAX_BITS,
     attainable_fraction,
     binomial,
     decimal_string,
@@ -20,6 +21,7 @@ from randaudit.bounds import (
     table1_report,
     table1_values,
 )
+from randaudit.errors import InfeasibleSizeError
 
 
 def naive_factorial(n):
@@ -85,6 +87,13 @@ class TestExactCombinatorics:
             assert [rencontres_count(n, j) for j in range(n + 1)] == cells
         with pytest.raises(ValueError):
             rencontres_counts(-1)
+
+    @pytest.mark.parametrize("n", [10 ** 5, MAX_BITS + 1])
+    def test_derangements_refuse_n_past_the_bit_limit(self, n):
+        # refused before the recurrence, which would run for minutes or hours here
+        for count in (derangement_count, rencontres_counts):
+            with pytest.raises(InfeasibleSizeError):
+                count(n)
 
 
 class TestAttainability:
