@@ -24,7 +24,7 @@ from operator import eq
 from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
-from .integers import DRAW_CHUNK, RandomSource, floor_even_probability
+from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value_scaled
 from .sampling import SampleSpec, shuffles
 
 # perfbench/spans.py wraps these by their names in this module
@@ -54,11 +54,11 @@ __all__ = [
 MURDOCH_M = 1_717_986_918
 MURDOCH_SCALE = (2 ** 33, 5)
 
-# Parity of floor(q * w / d) by w mod 2d, with q / d the scale over 2^32
-# in lowest terms (2/5); entry r is 1, an even draw, at r = 3, 4, 8 and 9
-# (see murdoch_experiment for why the residue decides it).
-_Q, _D = Fraction(MURDOCH_SCALE[0], MURDOCH_SCALE[1] << 32).as_integer_ratio()
-_FLOOR_PARITY = tuple(_Q * r // _D & 1 for r in range(2 * _D))
+# 1 for an even floor draw, by word mod 2d, with d the denominator of the
+# scale over 2^32 in lowest terms (2/5): entries 3, 4, 8 and 9 (see
+# murdoch_experiment for why the residue decides it).
+_D = Fraction(MURDOCH_SCALE[0], MURDOCH_SCALE[1] << 32).denominator
+_FLOOR_PARITY = tuple(1 - floor_value_scaled(r, 32, *MURDOCH_SCALE) % 2 for r in range(2 * _D))
 
 DEFAULT_ALPHA = 0.001
 

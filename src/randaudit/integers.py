@@ -3,7 +3,10 @@
 Three strategies are implemented: the multiply-and-floor and
 round-to-nearest methods, which are deliberately biased and exist to
 demonstrate that bias, and mask-and-reject, which is exactly uniform
-whenever the input bits are IID uniform.  All kernels use integer
+whenever the input bits are IID uniform.  floor and round map a word by
+one rule each (floor_value, round_value), which the kernels and
+exact_distribution share; round draws its 0 bucket as 1, so value 1 takes
+one and a half buckets and max/min is about 3.  All kernels use integer
 arithmetic only, so results are identical on every platform.
 
 The unit of drawing is a range sequence.  ``KERNELS[method](gen, ranges)``
@@ -42,7 +45,7 @@ __all__ = [
     "METHODS",
     "floor_value",
     "floor_value_scaled",
-    "round_value_raw",
+    "round_value",
     "randint_floor",
     "randint_round",
     "randint_mask",
@@ -82,13 +85,13 @@ def floor_value_scaled(word: int, width: int, num: int, den: int) -> int:
     return 1 + num * word // (den << width)
 
 
-def round_value_raw(word: int, width: int, m: int) -> int:
-    """Round-to-nearest: nearest integer to m * word / 2**width, half up.
+def round_value(word: int, width: int, m: int) -> int:
+    """Round-to-nearest: nearest integer to m * word / 2**width, half up,
+    with the 0 bucket sent to 1.
 
-    The raw result lives on {0..m}; both endpoint buckets get half the
-    mass of an interior bucket.
+    Value m's bucket is half an interior one, and value 1's one and a half.
     """
-    return (2 * m * word + (1 << width)) >> (width + 1)
+    return (2 * m * word + (1 << width)) >> (width + 1) or 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +214,7 @@ def _mask_kernel(gen: Generator, ranges) -> list[int]:
 # a draw raises
 KERNELS = {
     "floor": _one_word_kernel(floor_value),
-    # the raw round kernel reaches 0; sampling sends that bucket to 1
-    "round": _one_word_kernel(lambda word, width, m: round_value_raw(word, width, m) or 1),
+    "round": _one_word_kernel(round_value),
     "mask": _mask_kernel,
 }
 METHODS = tuple(KERNELS)
@@ -224,11 +226,7 @@ def randint_floor(gen: Generator, m: int) -> int:
 
 
 def randint_round(gen: Generator, m: int) -> int:
-    """One round-method draw, clamped into {1..m}; consumes one word.
-
-    The raw kernel maps to {0..m}; this sampling-facing wrapper sends the
-    0 bucket to 1.  Use exact_distribution to see the unclamped bias.
-    """
+    """One round-method draw on {1..m} (round_value); consumes one word."""
     return KERNELS["round"](gen, (m,))[0]
 
 
@@ -247,7 +245,7 @@ class IntDistribution:
 
     ``probs`` maps each attainable value to its probability as an exact
     rational, over a divisor of 2**width for floor and round and over m for
-    mask.  floor and mask live on {1..m}; the raw round method also reaches 0.
+    mask.  Every method lives on {1..m}.
     """
 
     method: str
@@ -268,15 +266,15 @@ class IntDistribution:
 def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
     """Exact distribution of a method over all 2**width equally likely words.
 
-    floor maps the words [ceil((v-1)*2^w/m), ceil(v*2^w/m)) to v, and raw
-    round (on {0..m}) the words [ceil((2v-1)*2^w/2m), ceil((2v+1)*2^w/2m)).
-    The walk starts at word 0, takes its value v from the kernel, counts
-    the words up to v's last one and goes on from the next, so it visits
-    only the values some word reaches, in increasing order: O(min(m, 2^w))
-    steps.  It agrees value for value with brute-force enumeration of every
-    word (the test suite checks this).  mask is uniform 1/m by the
-    rejection argument; its support is all of 1..m, so m is capped at
-    2**MAX_EXACT_WIDTH, the most values the other methods can reach.
+    floor maps the words [ceil((v-1)*2^w/m), ceil(v*2^w/m)) to v, and
+    round the words [ceil((2v-1)*2^w/2m), ceil((2v+1)*2^w/2m)), value 1's
+    from word 0.  The walk starts at word 0, takes its value v from the
+    kernel's rule, counts the words up to v's last one and goes on from the
+    next, so it visits only the values some word reaches, in increasing
+    order: O(min(m, 2^w)) steps.  It agrees value for value with drawing
+    every word through KERNELS (the test suite checks this).  mask is
+    uniform 1/m by the rejection argument; its support is all of 1..m, so
+    m is capped at 2**MAX_EXACT_WIDTH, the most values the others reach.
     """
     if method not in KERNELS:
         raise ValueError(f"unknown method {method!r}")
@@ -291,7 +289,7 @@ def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
         probs = dict.fromkeys(range(1, m + 1), Fraction(1, m))
     else:
         half = int(method == "round")
-        value = round_value_raw if half else floor_value
+        value = round_value if half else floor_value
         probs = {}
         word = 0
         while word < total:

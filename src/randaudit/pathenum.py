@@ -147,14 +147,23 @@ def _uniform(m: int) -> dict[int, Fraction]:
     return {v: p for v in range(1, m + 1)}
 
 
+def _draw_model(draw_dist, m: int) -> dict[int, Fraction]:
+    """draw_dist(m), or uniform; ValueError unless its values lie in 1..m
+    and its masses are nonnegative and sum to 1, since a replay takes a
+    recorded value as it is."""
+    probs = (draw_dist or _uniform)(m)
+    if not all(v in range(1, m + 1) and p >= 0 for v, p in probs.items()) or sum(probs.values()) != 1:
+        raise ValueError(f"draw_dist({m}) must give nonnegative masses on 1..{m} that sum to 1")
+    return probs
+
+
 def _int_draws(n, k, draw_dist):
     """Every integer draw on {1..m} branches over draw_dist(m), listed once
     per m."""
-    dist = draw_dist or _uniform
 
     @functools.cache
     def entries(m):
-        return [((v, m), p) for v, p in dist(m).items()]
+        return [((v, m), p) for v, p in _draw_model(draw_dist, m).items()]
 
     return lambda m, ints, fracs: entries(m)
 
@@ -163,7 +172,7 @@ def _distinct_draws(n, k, draw_dist):
     """Draw-until-distinct on {1..n}, collapsed: paths are duplicate-free
     and each accepted value v after the distinct prefix 'seen' carries
     weight p(v) / (1 - p(seen))."""
-    base = (draw_dist or _uniform)(n)
+    base = _draw_model(draw_dist, n)
 
     def branch(m, ints, fracs):
         if m != n:
@@ -232,8 +241,8 @@ def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):
     """Exact distribution over k-subsets of {1..n} induced by an algorithm.
 
     draw_dist(m) -> {value: Fraction}, optional, replaces the uniform
-    integer-draw distribution (not supported for pikk or vitter_z, whose
-    extra randomness is fraction-valued).
+    integer-draw distribution on {1..m} (not supported for pikk or
+    vitter_z, whose extra randomness is fraction-valued).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")

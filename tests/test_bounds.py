@@ -88,6 +88,12 @@ class TestExactCombinatorics:
         with pytest.raises(ValueError):
             rencontres_counts(-1)
 
+    @pytest.mark.parametrize("n", [5001, 20000])
+    def test_rencontres_counts_refuse_n_past_their_cost(self, n):
+        # n! fits in MAX_BITS, but 20,000's cells would take minutes
+        with pytest.raises(InfeasibleSizeError, match="n <= 5000"):
+            rencontres_counts(n)
+
     @pytest.mark.parametrize("n", [10 ** 5, MAX_BITS + 1])
     def test_derangements_refuse_n_past_the_bit_limit(self, n):
         # refused before the recurrence, which would run for minutes or hours here

@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from randaudit.errors import InfeasibleSizeError, UnreachableValuesWarning
 from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import (
+    KERNELS,
     IntDistribution,
     RandomSource,
     exact_distribution,
@@ -22,7 +25,7 @@ from randaudit.integers import (
     randint_floor,
     randint_mask,
     randint_round,
-    round_value_raw,
+    round_value,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -35,7 +38,7 @@ def brute_distribution(method, width, m):
         if method == "floor":
             counts[1 + (m * word >> width)] += 1
         elif method == "round":
-            counts[(2 * m * word + (1 << width)) >> (width + 1)] += 1
+            counts[(2 * m * word + (1 << width)) >> (width + 1) or 1] += 1
     return {v: Fraction(c, 1 << width) for v, c in counts.items()}
 
 
@@ -96,10 +99,10 @@ class TestRound:
         assert randint_round(g, 4) == 1
 
     def test_w3_m4_endpoints_get_half_mass(self):
+        # value m gets half a bucket, value 1 its own and the 0 bucket's half
         d = exact_distribution("round", 3, 4)
         assert d.probs == {
-            0: Fraction(1, 8),
-            1: Fraction(2, 8),
+            1: Fraction(3, 8),
             2: Fraction(2, 8),
             3: Fraction(2, 8),
             4: Fraction(1, 8),
@@ -110,8 +113,8 @@ class TestRound:
         round_d = exact_distribution("round", 3, 8)
         floor_d = exact_distribution("floor", 3, 8)
         assert sorted(round_d.probs) != sorted(floor_d.probs)
-        # at m = 2^w rounding is exact: value = word, support {0..7}
-        assert round_d.probs == {v: Fraction(1, 8) for v in range(8)}
+        # at m = 2^w rounding is exact: value = word, word 0 drawn as 1
+        assert round_d.probs == {1: Fraction(2, 8), **{v: Fraction(1, 8) for v in range(2, 8)}}
 
     @pytest.mark.parametrize("width,m", [(3, 4), (3, 8), (5, 7), (8, 100), (6, 33)])
     def test_matches_brute_enumeration(self, width, m):
@@ -120,8 +123,9 @@ class TestRound:
         )
 
     def test_raw_kernel_reaches_zero_and_m(self):
-        assert round_value_raw(0, 3, 4) == 0
-        assert round_value_raw(7, 3, 4) == 4
+        # the raw 0 bucket is drawn as 1
+        assert round_value(0, 3, 4) == 1
+        assert round_value(7, 3, 4) == 4
 
 
 class TestMask:
@@ -210,6 +214,21 @@ class TestExactDistributionContract:
         # same values, probabilities and order as enumerating every word
         d = exact_distribution(method, width, m)
         assert list(d.probs.items()) == list(brute_distribution(method, width, m).items())
+
+    @pytest.mark.parametrize("method", ["floor", "round"])
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_walk_counts_what_the_kernel_draws(self, method, width):
+        # every word drawn once through the sampling kernel: the exact
+        # distribution is that count, value for value and in order
+        words = 1 << width
+        for m in [*range(1, words + 9), 10 ** 6, 3 * 2 ** 40 + 1]:
+            gen = ScriptedGenerator(list(range(words)), width)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                drawn = Counter(KERNELS[method](gen, repeat(m, words)))
+            assert [w.category for w in caught] == [UnreachableValuesWarning] * (m > words)
+            expected = [(v, Fraction(c, words)) for v, c in sorted(drawn.items())]
+            assert list(exact_distribution(method, width, m).probs.items()) == expected, m
 
     @pytest.mark.parametrize("m", [2 ** 24 + 1, 10 ** 12])
     def test_mask_range_limit(self, m):

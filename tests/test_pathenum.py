@@ -7,7 +7,8 @@ import pytest
 
 from randaudit import pathenum
 
-from randaudit.integers import exact_distribution
+from randaudit.generators import ScriptedGenerator
+from randaudit.integers import RandomSource, exact_distribution
 from randaudit.pathenum import (
     ENUMERABLE_ALGORITHMS,
     _NeedDraw,
@@ -17,7 +18,7 @@ from randaudit.pathenum import (
     exact_subset_distribution,
     uniform_subset_reference,
 )
-from randaudit.sampling import ScriptedSource, fisher_yates, reservoir_r, vitter_z
+from randaudit.sampling import SampleSpec, ScriptedSource, fisher_yates, reservoir_r, vitter_z
 
 
 @pytest.mark.parametrize("algorithm", ENUMERABLE_ALGORITHMS)
@@ -174,6 +175,50 @@ def test_fisher_yates_matches_brute_force_over_every_draw_tuple():
 def test_reservoir_r_matches_brute_force_over_every_draw_tuple():
     expected = brute_force([3, 4, 5], lambda src: reservoir_r(range(1, 6), 2, src).as_set())
     assert exact_subset_distribution("reservoir_r", 5, 2, draw_dist=floor3) == expected
+
+
+# (draws per run, run on a draw source, enumeration under a draw model)
+WORD_CASES = {
+    **{
+        f"{algorithm}_{n}_2": (
+            draws,
+            lambda src, spec=SampleSpec(n, 2, algorithm=algorithm): spec.run(src).as_set(),
+            lambda dist, algorithm=algorithm, n=n: exact_subset_distribution(algorithm, n, 2, draw_dist=dist),
+        )
+        for algorithm, n, draws in [("fisher_yates", 4, 3), ("cormen", 5, 2), ("reservoir_r", 5, 3)]
+    },
+    "permutations_4": (
+        3,
+        lambda src: fisher_yates(src, 4).items,
+        lambda dist: exact_permutation_distribution(4, draw_dist=dist),
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["floor", "round"])
+@pytest.mark.parametrize("case", sorted(WORD_CASES))
+def test_enumeration_matches_every_word_tuple_drawn(method, case):
+    # every tuple of 3-bit words drawn through the method's kernel, each
+    # with mass 8**-draws, against the enumeration fed the method's exact
+    # distribution at width 3
+    draws, run, enumerate_under = WORD_CASES[case]
+    expected = defaultdict(Fraction)
+    for words in itertools.product(range(8), repeat=draws):
+        gen = ScriptedGenerator(list(words), 3)
+        expected[run(RandomSource(gen, method))] += Fraction(1, 8 ** draws)
+        assert gen.words_emitted == draws
+    assert enumerate_under(lambda m: exact_distribution(method, 3, m).probs) == expected
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {1: Fraction(1, 3), 2: Fraction(1, 3)}, {1: Fraction(3, 2), 2: Fraction(-1, 2)}],
+    ids=["value_0", "mass_2_3", "negative_mass"],
+)
+def test_a_bad_draw_model_is_refused_before_any_replay(model):
+    for algorithm in ("fisher_yates", "random_indices"):
+        with pytest.raises(ValueError, match="draw_dist\\(2\\)"):
+            exact_subset_distribution(algorithm, 2, 1, draw_dist=lambda m: model)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,10 @@ Every module-level private name (one leading underscore) in src/randaudit
 is read somewhere in the package outside its own definition, so a helper
 that a change stops calling is deleted with it.
 
+Every ``__all__`` entry of a module in src/randaudit names a module-level
+definition or import, so a rename cannot leave ``from module import *``
+raising AttributeError.
+
 The ``test`` extra in pyproject.toml names exactly the third-party modules
 that tests/, perfbench/ and scripts/ import, so an oracle nothing uses any
 more is not installed, and one that something uses is declared.
@@ -77,6 +81,24 @@ def orphaned_private_names(paths) -> list[str]:
     ]
 
 
+def stale_all_entries(path: Path) -> list[str]:
+    """Entries of ``path``'s ``__all__`` that name no module-level function,
+    class, assignment target or import."""
+    defined, listed = set(), []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names = {sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+                defined |= names
+                if names == {"__all__"}:
+                    listed = ast.literal_eval(node.value)
+    return [f"{path.name}: {name}" for name in listed if name not in defined]
+
+
 def third_party_imports(root: Path) -> set[str]:
     """Top-level modules that the code under ``root``'s TEST_TREES imports
     or hands to ``pytest.importorskip``, less the standard library,
@@ -138,6 +160,27 @@ def test_the_check_sees_an_orphaned_private_name(tmp_path):
     (tmp_path / "b.py").write_text("from . import a\nprint(a._helper())\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert orphaned_private_names(paths) == ["a.py:2: _unused", "a.py:3: _recurse", "a.py:5: _Orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stale_all_entries(path):
+    assert stale_all_entries(path) == []
+
+
+def test_the_check_sees_a_stale_all_entry(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os.path\n"
+        "from math import comb as choose\n"
+        "LIMIT: int = 3\n"
+        "LOW, HIGH = 1, 2\n"
+        "def f():\n"
+        "    g = 1\n"
+        "class C:\n"
+        "    pass\n"
+        "__all__ = ['os', 'choose', 'LIMIT', 'LOW', 'HIGH', 'f', 'C', 'comb', 'g']\n"
+    )
+    assert stale_all_entries(module) == ["m.py: comb", "m.py: g"]
 
 
 needs_tomllib = pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
