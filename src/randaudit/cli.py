@@ -7,18 +7,18 @@ is byte-for-byte reproducible from that header apart from timing fields.
 A warning (an unreachable integer range, a stream shorter than the
 reservoir, fresh entropy) is one ``warning:`` line on stderr.  Exit codes,
 each failure with a one-line ``error:`` on stderr, after any warnings: 0
-success;
-2 usage error, including alpha outside (0, 1), zero calibration
+success; 2 usage error, including alpha outside (0, 1), zero calibration
 repetitions, flags that would be ignored (``bounds --table1`` with a
 row's flags, two ``bounds`` target forms, two seed flags, ``--a``/``--c``/
 ``--m`` without ``--prng lcg``, a seed or LCG flag with ``--scripted``,
 ``gen --int-range`` without ``--as integers``), an audit ``--out`` that
 cannot be opened (refused before the audit runs), an exhausted scripted
-source, and a degenerate generator (DegenerateStreamError: a redraw
-loop hit its limit); 3 infeasible size, including ``bounds`` values
-wider than 2**18 bits (``--state-bits`` above 262144, ``--target-perm``
-above about 20,400, C(n,k) above about 78,900 digits), a derangement
-audit whose exact rate D_n / n! is too long to print, and a size above
+source, and a degenerate generator (DegenerateStreamError: a mask or
+duplicate redraw loop hit its limit); 3 infeasible size or out of memory
+(MemoryError), including ``bounds`` values wider than 2**18 bits
+(``--state-bits`` above 262144, ``--target-perm`` above about 20,400,
+C(n,k) above about 78,900 digits), a derangement audit whose exact rate
+D_n / n! is too long to print, and a size above
 ``sampling.MAX_POPULATION`` (10**8): n for ``pikk``, ``fisher-yates``, a
 permutation audit, or ``reservoir-r`` and ``vitter-z`` streaming 1..n;
 k for ``random-indices`` and ``cormen``.  ``audit sample-frequency
@@ -441,8 +441,8 @@ def main(argv=None) -> int:
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.code
-        except InfeasibleSizeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (InfeasibleSizeError, MemoryError) as exc:
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return INFEASIBLE
         except (ValueError, OSError, ScriptedExhaustedError, DegenerateStreamError) as exc:
             print(f"error: {exc}", file=sys.stderr)

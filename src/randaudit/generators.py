@@ -176,10 +176,6 @@ class Generator:
         scale = 1 << self.width
         return [word / scale for word in self.words(count)]
 
-    def next_fraction(self) -> float:
-        """The one-fraction case of ``fractions``."""
-        return self.fractions(1)[0]
-
     def words(self, count: int) -> list[int]:
         out: list[int] = []
         if count > 0:
@@ -262,12 +258,12 @@ def _wh_words(s: list[int]):
 class WichmannHillGenerator(Generator):
     """Sum of three multiplicative LCGs; native output is a fraction in [0, 1).
 
-    ``fractions`` (and so ``next_fraction``) gives the native output, the
-    exact register sum over the product of the moduli rounded once to a
-    float.  ``next_word`` is a 32-bit discretization,
-    floor(fraction * 2**32); it loses the low-order part of the native
-    resolution and is provided only so this generator fits the common word
-    interface.  Each word or fraction advances the state once.
+    ``fractions`` gives the native output, the exact register sum over the
+    product of the moduli rounded once to a float.  ``next_word`` is a
+    32-bit discretization, floor(fraction * 2**32); it loses the low-order
+    part of the native resolution and is provided only so this generator
+    fits the common word interface.  Each word or fraction advances the
+    state once.
     """
 
     width = 32

@@ -24,7 +24,7 @@ count)``); an m above 2**width starts a pool of several words.
 Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
 range) with ``randint(m)``, and ``fractions(count)`` (a list of count
-fractions in [0, 1), word / 2**width over a generator) with
+fractions in [0, 1), word / 2**width over a generator, 0 included) with
 ``fraction()``.  RandomSource implements it over a generator, and
 sampling.ScriptedSource over scripted outcomes, which is also how the
 path enumeration replays each path.
@@ -50,6 +50,7 @@ __all__ = [
     "randint_round",
     "randint_mask",
     "IntDistribution",
+    "check_masses",
     "exact_distribution",
     "floor_sum",
     "floor_even_probability",
@@ -254,13 +255,19 @@ class IntDistribution:
     probs: dict[int, Fraction]
 
     def __post_init__(self):
-        if sum(self.probs.values()) != 1:
-            raise ValueError("probabilities must sum to exactly 1")
+        check_masses(self.probs, self.m, "an IntDistribution")
 
     def max_min_ratio(self) -> Fraction:
         """Largest over smallest nonzero selection probability."""
         ps = self.probs.values()
         return Fraction(max(ps), min(ps))
+
+
+def check_masses(probs: dict, m: int, name: str) -> dict:
+    """probs if it puts masses >= 0 on 1..m that total exactly 1, else ValueError."""
+    if not all(1 <= v <= m and p >= 0 for v, p in probs.items()) or sum(probs.values()) != 1:
+        raise ValueError(f"{name} must put nonnegative masses on 1..{m} that sum to exactly 1")
+    return probs
 
 
 def exact_distribution(method: str, width: int, m: int) -> IntDistribution:
@@ -388,24 +395,10 @@ class RandomSource:
         return self.gen.fractions(count)
 
     def fraction(self) -> float:
-        return self.gen.next_fraction()
+        return self.gen.fractions(1)[0]
 
-    def fraction_nonzero(self) -> float:
-        """A fraction in (0, 1): an exact 0 word is redrawn.
-
-        vitter_z draws its skip fractions here.  Its skip walk takes no
-        logarithm, so the redraw guards no arithmetic; it keeps vitter_z's
-        stream as it is (v = 0 would keep no further record, a redrawn v
-        does).  IID uniform w-bit words are 0 with
-        probability 2**-w, so more than 64 // w + 1 zeros in a row
-        (probability below 2**-64) raise DegenerateStreamError.
-        """
-        limit = 64 // self.gen.width + 1
-        for _ in range(limit):
-            f = self.gen.next_fraction()
-            if f > 0.0:
-                return f
-        raise DegenerateStreamError(f"{limit} zero words in a row; the generator is stuck at 0")
+    # kept only because perfbench/spans.py wraps this name on RandomSource
+    fraction_nonzero = fraction
 
     @property
     def words_used(self) -> int:

@@ -54,6 +54,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+from .integers import check_masses
 # perfbench/spans.py wraps the six samplers by their names in this module
 from .sampling import (  # noqa: F401
     ALGORITHMS,
@@ -148,13 +149,8 @@ def _uniform(m: int) -> dict[int, Fraction]:
 
 
 def _draw_model(draw_dist, m: int) -> dict[int, Fraction]:
-    """draw_dist(m), or uniform; ValueError unless its values lie in 1..m
-    and its masses are nonnegative and sum to 1, since a replay takes a
-    recorded value as it is."""
-    probs = (draw_dist or _uniform)(m)
-    if not all(v in range(1, m + 1) and p >= 0 for v, p in probs.items()) or sum(probs.values()) != 1:
-        raise ValueError(f"draw_dist({m}) must give nonnegative masses on 1..{m} that sum to 1")
-    return probs
+    """draw_dist(m), or uniform, checked: a replay takes a recorded value as it is."""
+    return check_masses((draw_dist or _uniform)(m), m, f"draw_dist({m})")
 
 
 def _int_draws(n, k, draw_dist):

@@ -1,12 +1,13 @@
 """Sampling and permutation algorithms over a draw source.
 
 Every algorithm takes a draw source, a RandomSource or any object with
-the same small protocol (``randints`` and ``randint``, ``fractions`` and
-``fraction``; see the integers module), so the generator and integer
-method are chosen by the caller.  Integer draws default to mask-reject
-through RandomSource; the biased methods are an explicit opt-in there.
-Samplers that know their ranges ahead draw them with one ``randints``
-call, and pikk draws its n keys with one ``fractions`` call.
+the same small protocol (``randints``, ``randint``, ``fractions`` and
+``fraction``, counted by ``words_used``, ``draws`` and ``width``; see the
+integers module) and uses nothing else of it, so the generator and
+integer method are chosen by the caller.  Integer draws default to
+mask-reject through RandomSource; the biased methods are an explicit
+opt-in there.  Samplers that know their ranges ahead draw them with one
+``randints`` call, and pikk draws its n keys with one ``fractions`` call.
 
 Each run is strictly sequential over its one draw source; experiments
 that parallelize must hand each worker an independently seeded generator.
@@ -125,8 +126,6 @@ class ScriptedSource:
 
     def fraction(self) -> float:
         return self.fractions(1)[0]
-
-    fraction_nonzero = fraction
 
     @property
     def words_used(self) -> int:
@@ -340,7 +339,8 @@ def vitter_z(stream, k: int, source) -> Sample:
     factor is the chance that reservoir_r passes record i over, so the
     skip has reservoir_r's distribution.  The walk costs one multiply per
     record and stops with the stream, and a stream of exactly k items
-    costs no randomness.
+    costs no randomness.  v = 0, from a 0 word, keeps no further record
+    while the float product stays above 0 (always for k below 540).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -353,7 +353,7 @@ def vitter_z(stream, k: int, source) -> Sample:
         v = None
         for t, item in enumerate(it, start=k + 1):
             if v is None:
-                v = source.fraction_nonzero()
+                v = source.fraction()
                 quot = (t - k) / t
             else:
                 quot *= (t - k) / t

@@ -166,7 +166,7 @@ class TestFullPeriod:
 class TestWichmannHill:
     def test_first_step_from_unit_triple(self):
         g = WichmannHillGenerator((1, 1, 1))
-        f = g.next_fraction()
+        [f] = g.fractions(1)
         assert g.registers == (171, 172, 170)
         assert f == pytest.approx(0.0169309, abs=5e-8)
 
@@ -174,7 +174,7 @@ class TestWichmannHill:
         a = WichmannHillGenerator((1, 1, 1))
         b = WichmannHillGenerator((1, 1, 1))
         word = a.next_word()
-        frac = b.next_fraction()
+        [frac] = b.fractions(1)
         assert word == math.floor(frac * 2 ** 32) or abs(word / 2 ** 32 - frac) < 2 ** -32
 
     def test_scalar_seed_expansion_is_deterministic(self):
@@ -542,7 +542,7 @@ class TestFractions:
             before = gen.words_emitted
             assert gen.fractions(count) == [ref.next_word() / 2 ** ref.width for _ in range(count)]
             assert gen.words_emitted == before + count
-        assert gen.next_fraction() == ref.next_word() / 2 ** ref.width
+        assert gen.fractions(1)[0] == ref.next_word() / 2 ** ref.width
         assert gen.words(5) == ref.words(5)
 
     def test_wichmann_hill_fractions_are_native(self):
@@ -562,7 +562,7 @@ class TestFractions:
             assert gen.words_emitted == before + count
             # the word interface continues the same register sequence
             assert gen.next_word() == math.floor(native() * 2 ** 32)
-        assert gen.next_fraction() == float(native())
+        assert gen.fractions(1)[0] == float(native())
         assert gen.registers == tuple(registers)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))

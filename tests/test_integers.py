@@ -98,7 +98,7 @@ class TestRound:
         g = ScriptedGenerator([0], width=3)
         assert randint_round(g, 4) == 1
 
-    def test_w3_m4_endpoints_get_half_mass(self):
+    def test_w3_m4_value_1_gets_three_halves_and_m_half_a_bucket(self):
         # value m gets half a bucket, value 1 its own and the 0 bucket's half
         d = exact_distribution("round", 3, 4)
         assert d.probs == {
@@ -122,8 +122,8 @@ class TestRound:
             "round", width, m
         )
 
-    def test_raw_kernel_reaches_zero_and_m(self):
-        # the raw 0 bucket is drawn as 1
+    def test_word_0_draws_1_and_the_top_word_m(self):
+        # the 0 bucket is drawn as 1
         assert round_value(0, 3, 4) == 1
         assert round_value(7, 3, 4) == 4
 
@@ -199,6 +199,15 @@ class TestExactDistributionContract:
             assert sum(d.probs.values()) == 1
             assert len(d.probs) <= 16
             assert d.probs == brute_distribution(method, 4, 100)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [{0: Fraction(1, 2), 7: Fraction(1, 2)}, {1: Fraction(3, 2), 2: Fraction(-1, 2)}],
+        ids=["values_0_and_7", "negative_mass"],
+    )
+    def test_values_outside_1_to_m_and_negative_masses_are_refused(self, probs):
+        with pytest.raises(ValueError, match="nonnegative masses on 1..2"):
+            IntDistribution("floor", 2, 2, probs)
 
     def test_probabilities_must_total_exactly_one(self):
         with pytest.raises(ValueError, match="sum to exactly 1"):
@@ -306,8 +315,3 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(g, method="lemire")
 
-    def test_fraction_nonzero_skips_zero_words(self):
-        g = ScriptedGenerator([0, 0, 5], width=3)
-        src = RandomSource(g)
-        assert src.fraction_nonzero() == 5 / 8
-        assert src.words_used == 3

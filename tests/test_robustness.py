@@ -62,18 +62,32 @@ CONSTANT_LCG = ("--prng", "lcg", "--a", "1", "--c", "0", "--m", "256")
 @pytest.mark.parametrize(
     "argv",
     [
-        # a = 5, c = 0 keeps register 0 at 0: fraction_nonzero sees only zeros
-        ("sample", "--prng", "lcg", "--a", "5", "--c", "0", "--m", "256", "--seed", "0",
-         "--algo", "vitter-z", "--n", "100", "--k", "2"),
         # word 255: every mask candidate for m = 5 is 7, always rejected
         ("sample", *CONSTANT_LCG, "--seed", "255", "--n", "5", "--k", "2"),
         # word 7: every draw is the same index, so random_indices sees duplicates
         ("sample", *CONSTANT_LCG, "--seed", "7", "--n", "5", "--k", "2"),
         ("sample", *CONSTANT_LCG, "--seed", "255", "--n", "5", "--k", "2", "--method", "floor"),
+        ("sample", *CONSTANT_LCG, "--seed", "255", "--n", "5", "--k", "2", "--method", "round"),
     ],
 )
 def test_degenerate_generator_exits_2(argv):
     assert_one_line_error(run_cli(*argv), 2)
+
+
+def test_vitter_z_on_a_generator_stuck_at_0_keeps_the_first_k():
+    # a = 5, c = 0 keeps register 0 at 0: the skip fraction is 0, so no
+    # record past the reservoir is kept and no slot is drawn
+    proc = run_cli("sample", "--prng", "lcg", "--a", "5", "--c", "0", "--m", "256", "--seed", "0",
+                   "--algo", "vitter-z", "--n", "100", "--k", "2")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["1", "2", "# consumed words=1 bits=8 draws=0 short=False"]
+
+
+def test_out_of_memory_exits_3():
+    # the 10**8-item shuffle list does not fit in a 1 GiB address space
+    proc = run_cli("sample", "--seed", "1", "--n", "100000000", "--k", "100000000", "--algo", "fisher-yates",
+                   max_bytes=1 << 30)
+    assert_one_line_error(proc, 3)
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -181,14 +195,6 @@ class TestRedrawLimits:
     def test_mask_rejections_just_below_the_limit_pass(self):
         g = ScriptedGenerator([7] * (MAX_REJECTIONS - 1) + [0], width=3)
         assert randint_mask(g, 5) == 1
-
-    def test_zero_fractions(self):
-        # 64 // 8 + 1 = 9 zeros in a row at width 8
-        src = RandomSource(ScriptedGenerator([0] * 8 + [3], width=8))
-        assert src.fraction_nonzero() == 3 / 256
-        src = RandomSource(ScriptedGenerator([0] * 9 + [3], width=8))
-        with pytest.raises(DegenerateStreamError):
-            src.fraction_nonzero()
 
     def test_duplicate_indices(self):
         src = RandomSource(LcgGenerator(LcgParams(m=256, a=1, c=0), 7))

@@ -1,14 +1,17 @@
+import ast
 import contextlib
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import GENERATORS
 
+from randaudit import sampling
 from randaudit.errors import ScriptedExhaustedError, ShortStreamWarning
-from randaudit.generators import HashCounterGenerator
+from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import DRAW_CHUNK, RandomSource
 from randaudit.sampling import (
     Sample,
@@ -34,7 +37,7 @@ class TestScriptedSource:
         assert s.randints([2, 2]) == [2, 1]
         assert s.randint(3) == 3
         assert s.draws == 3
-        assert [s.fraction(), s.fraction_nonzero()] == [0.25, 0.75]
+        assert [s.fraction(), *s.fractions(1)] == [0.25, 0.75]
 
     def test_exhaustion_raises_index_error(self):
         s = ScriptedSource(ints=[1], fractions=[0.5])
@@ -271,6 +274,12 @@ class TestVitterZ:
         sample = vitter_z([7, 8], 2, ScriptedSource())
         assert sample.items == (7, 8)
 
+    def test_zero_word_is_a_skip_fraction_of_zero(self):
+        # v = 0 / 2**8 is drawn as it is, not redrawn, and no record
+        # past the reservoir brings the running product down to 0
+        sample = vitter_z(range(1, 6), 2, RandomSource(ScriptedGenerator([0], width=8)))
+        assert (sample.items, sample.words, sample.draws) == ((1, 2), 1, 0)
+
     def test_short_stream_flagged(self):
         with pytest.warns(ShortStreamWarning):
             sample = vitter_z([1], 3, ScriptedSource())
@@ -382,6 +391,30 @@ class TestSampleRecord:
     def test_bits_and_short_default_to_zero_and_false(self):
         sample = Sample((1,), 0, 0)
         assert (sample.bits, sample.short) == (0, False)
+
+
+# The draw-source protocol: the four draw calls and the three counters
+# that _accounted reads
+PROTOCOL = {"randints", "randint", "fractions", "fraction", "words_used", "draws", "width"}
+
+
+class TestDrawProtocol:
+    def test_samplers_read_only_the_protocol_on_their_source(self):
+        tree = ast.parse(Path(sampling.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "source"
+        }
+        assert read and read <= PROTOCOL, sorted(read - PROTOCOL)
+
+    @pytest.mark.parametrize(
+        "source",
+        [RandomSource(HashCounterGenerator("protocol")), ScriptedSource()],
+        ids=["RandomSource", "ScriptedSource"],
+    )
+    def test_both_sources_define_the_whole_protocol(self, source):
+        assert all(hasattr(source, name) for name in PROTOCOL)
 
 
 class TestBitsAccounting:
