@@ -12,10 +12,12 @@ length moves ``peak_rss_mb``.  Any run that exits nonzero, prints no
 result or is not ``correct`` stops the script with exit code 1.
 
 For each metric it prints both sides' median and quartiles, the pairs in
-which the change was better (ties count for neither), and whether a gain
-may be claimed: the change is better in at least nine tenths of the
-pairs and the medians differ, in the better direction, by more than the
-parent's interquartile range.  Standard library only.
+which the change was better and those in which it was worse (ties count
+for neither), and two verdicts.  A gain may be claimed when the change is
+better in at least nine tenths of the pairs and the medians differ, in
+the better direction, by more than the parent's interquartile range; a
+regression is shown by the same rule mirrored, worse in at least nine
+tenths of the pairs and by more than that range.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+        losses = sum(c > p if lower else c < p for p, c in zip(parent, change))
         p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
         c_q1, c_med, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
         gain = p_med - c_med if lower else c_med - p_med
@@ -64,7 +67,9 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "change": (c_med, c_q1, c_q3),
             "wins": wins,
             "pairs": len(pairs),
+            "losses": losses,
             "claim": 10 * wins >= 9 * len(pairs) and gain > p_q3 - p_q1,
+            "regression": 10 * losses >= 9 * len(pairs) and -gain > p_q3 - p_q1,
         })
     return rows
 
@@ -75,7 +80,8 @@ def render(row: dict) -> str:
     return (
         f"{row['metric']:<12} parent {p_med:.4f} [{p_q1:.4f}, {p_q3:.4f}]  "
         f"change {c_med:.4f} [{c_q1:.4f}, {c_q3:.4f}] {row['unit']}  {change:+.1%}  "
-        f"better in {row['wins']}/{row['pairs']}  gain {'holds' if row['claim'] else 'not shown'}"
+        f"better in {row['wins']}/{row['pairs']}  gain {'holds' if row['claim'] else 'not shown'}  "
+        f"worse in {row['losses']}/{row['pairs']}  regression {'shown' if row['regression'] else 'not shown'}"
     )
 
 

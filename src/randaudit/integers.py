@@ -17,9 +17,9 @@ below 1 raises ValueError before any word is read for it.  Batching does
 not change the stream: floor and round read one word per draw, and mask
 discards the leftover bits of its last word at every range boundary, so
 a sequence reads exactly the words its ranges would read one call at a
-time.  Mask draws every sequence in one loop, which reuses m's setup while
-consecutive ranges are the same object (as in an ``itertools.repeat(m,
-count)``); an m above 2**width starts a pool of several words.
+time.  Mask draws every sequence in one loop over (m, shift) pairs planned
+by the sequence's shape (an ``itertools.repeat(m, count)`` is one pair);
+an m above 2**width starts a pool of several words.
 
 Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
@@ -32,9 +32,13 @@ path enumeration replays each path.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import length_hint
 
 from .errors import DegenerateStreamError, InfeasibleSizeError, UnreachableValuesWarning
 from .generators import Generator
@@ -55,6 +59,7 @@ __all__ = [
     "floor_sum",
     "floor_even_probability",
     "RandomSource",
+    "RangeTile",
 ]
 
 MAX_EXACT_WIDTH = 24
@@ -135,6 +140,53 @@ def _one_word_kernel(value):
     return kernel
 
 
+class RangeTile(tuple):
+    """A range sequence drawn many times over, such as a tile of whole
+    shuffles; the mask kernel keeps its plan per word width on the tile."""
+
+    def __init__(self, ranges):
+        self.plans = {}
+
+
+def _pair(m: int, w: int) -> tuple[int, int]:
+    """m's (m, shift) in a mask plan, or (m, -1) for the slow branch."""
+    return (m, w - (m - 1).bit_length()) if 1 < m <= 1 << w else (m, -1)
+
+
+def _range_runs(r: range, w: int):
+    """Yield the plan of a range of step 1 or -1 as one zip per run of one
+    shift, O(log m) of them; a sentinel is a run of its own."""
+    while r:
+        m, shift = _pair(r[0], w)
+        # up, m's run ends at 2**mu; down, at 2**(mu - 1) + 1
+        n = 1 if shift < 0 else (1 << w - shift) - m + 1 if r.step > 0 else m - (1 << w - shift - 1)
+        yield zip(r[:n], repeat(shift))
+        r = r[n:]
+
+
+# plans of ranges of at most 64, which callers draw again and again (a
+# shuffle of n <= 8 draws range(n, 1, -1)), in a bounded cache
+_short_range_plan = lru_cache(maxsize=64)(lambda r, w: tuple(chain.from_iterable(_range_runs(r, w))))
+
+
+def _mask_plan(ranges, w: int):
+    """The (m, shift) pairs of ``ranges``, built by the sequence's shape;
+    only the pairs of a plain sequence are worked out entry by entry."""
+    kind = type(ranges)
+    if kind is range and ranges.step in (1, -1):
+        return _short_range_plan(ranges, w) if len(ranges) <= 64 else chain.from_iterable(_range_runs(ranges, w))
+    if kind is repeat:
+        # an unbounded repeat draws until a draw raises
+        count = length_hint(ranges, sys.maxsize)
+        return repeat(_pair(next(ranges), w), count) if count else ()
+    if kind is RangeTile:
+        if w not in ranges.plans:
+            pairs = {m: _pair(m, w) for m in set(ranges)}  # one pair object per m
+            ranges.plans[w] = list(map(pairs.__getitem__, ranges))
+        return ranges.plans[w]
+    return map(_pair, ranges, repeat(w))
+
+
 def _mask_kernel(gen: Generator, ranges) -> list[int]:
     """Mask-and-reject draws on {1..m} for each m of ``ranges``.
 
@@ -146,10 +198,10 @@ def _mask_kernel(gen: Generator, ranges) -> list[int]:
     at a time.  Raises DegenerateStreamError after MAX_REJECTIONS rejected
     candidates in a row.
 
-    One loop serves every sequence.  m's mu and shift are worked out again
-    only when m is not the object the previous draw used, so a repeat(m,
-    count) pays for them once.  An m above 2**width makes the first word
-    fail the one-word test and head a multi-word pool.
+    One loop draws every sequence, over the (m, shift) pairs of a plan
+    built before it (_mask_plan).  The sentinel shift -1 sends m < 1, m = 1
+    (no word read) and m above 2**width (a pool of several words) to the
+    slow branch, which shares the rejection loop.
     """
     w = gen.width
     read = gen.stream.__next__
@@ -158,38 +210,30 @@ def _mask_kernel(gen: Generator, ranges) -> list[int]:
     # words read beyond one per draw made (m = 1 reads none); a rejected
     # draw counts its first word here until it is accepted
     extra = 0
-    last = None
     try:
-        for m in ranges:
-            if m is not last:
-                if m < 2:
-                    if m < 1:
-                        raise ValueError("m must be >= 1")
-                    append(1)
-                    extra -= 1
+        for m, shift in _mask_plan(ranges, w):
+            if shift >= 0:
+                x = read()
+                r = x >> shift
+                if r < m:
+                    append(r + 1)
                     continue
-                mu = (m - 1).bit_length()
-                shift = w - mu
-                # the first candidate is the top mu bits of a fresh word, or
-                # none when m needs more than one word
-                cap = m
-                if shift < 0:
-                    shift = cap = 0
-                last = m
-            x = read()
-            r = x >> shift
-            if r < cap:
-                append(r + 1)
-                continue
-            extra += 1
-            if cap:
+                mu = w - shift
                 pool = x & ((1 << shift) - 1)
                 bits = shift
                 rejected = 1
-            else:
-                pool = x
+            elif m > 1:
+                mu = (m - 1).bit_length()
+                pool = read()
                 bits = w
                 rejected = 0
+            elif m == 1:
+                append(1)
+                extra -= 1
+                continue
+            else:
+                raise ValueError("m must be >= 1")
+            extra += 1
             while True:
                 while bits < mu:
                     pool = (pool << w) | read()

@@ -21,7 +21,7 @@ from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .errors import DegenerateStreamError, InfeasibleSizeError, ShortStreamWarning
-from .integers import DRAW_CHUNK
+from .integers import DRAW_CHUNK, RangeTile
 
 __all__ = [
     "MAX_POPULATION",
@@ -182,21 +182,28 @@ def shuffles(source, n: int, count: int):
 
     Each shuffle is Fisher-Yates: for i from n-1 down to 1 swap position i
     with a uniform position j in {0..i}, n-1 integer draws and no sort.
-    All the draws are made in the order single shuffles would make them:
-    one shuffle of n <= DRAW_CHUNK in one randints call, anything else in
-    calls of DRAW_CHUNK draws (the last one shorter), each call when the
-    shuffle being built first needs it.
+    All the draws are made in the order single shuffles would make them,
+    each call when the shuffle being built first needs it: one shuffle of
+    n <= DRAW_CHUNK in one randints call, more in calls of a RangeTile of
+    DRAW_CHUNK // (n - 1) whole shuffles (the last call shorter), built
+    once, and each shuffle of n > DRAW_CHUNK in range slices of DRAW_CHUNK.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_population(n)
-    if count == 1 and n <= DRAW_CHUNK:
-        # one shuffle reads its draws once, so the list needs no iterator
-        draws = source.randints(range(n, 1, -1))
+    period = range(n, 1, -1)
+    if n == 1 or count == 1 and n <= DRAW_CHUNK:
+        # one call of at most one shuffle's draws: the list needs no iterator
+        draws = source.randints(period)
+    elif n > DRAW_CHUNK:
+        slices = [period[i : i + DRAW_CHUNK] for i in range(0, n - 1, DRAW_CHUNK)]
+        draws = chain.from_iterable(map(source.randints, chain.from_iterable(repeat(slices, count))))
     else:
-        ranges = chain.from_iterable(repeat(range(n, 1, -1), count))
-        chunks = iter(lambda: list(islice(ranges, DRAW_CHUNK)), [])
-        draws = chain.from_iterable(map(source.randints, chunks))
+        # every full tile is drawn from the one plan the kernel keeps on it;
+        # the last, partial tile is a tile too, which plans faster than a tuple
+        tile = RangeTile(chain.from_iterable(repeat(period, DRAW_CHUNK // (n - 1))))
+        full, rest = divmod(count * (n - 1), len(tile))
+        draws = chain.from_iterable(map(source.randints, chain(repeat(tile, full), [RangeTile(tile[:rest])])))
     positions = range(n - 1, 0, -1)
     identity = list(range(1, n + 1))
     for _ in range(count):
@@ -339,8 +346,8 @@ def vitter_z(stream, k: int, source) -> Sample:
     factor is the chance that reservoir_r passes record i over, so the
     skip has reservoir_r's distribution.  The walk costs one multiply per
     record and stops with the stream, and a stream of exactly k items
-    costs no randomness.  v = 0, from a 0 word, keeps no further record
-    while the float product stays above 0 (always for k below 540).
+    costs no randomness.  v = 0, from a 0 word, keeps no further record,
+    also once the float product underflows to 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -357,7 +364,8 @@ def vitter_z(stream, k: int, source) -> Sample:
                 quot = (t - k) / t
             else:
                 quot *= (t - k) / t
-            if quot <= v:
+            # the exact product never reaches v = 0, although the float one can
+            if quot <= v and v:
                 reservoir[source.randint(k) - 1] = item
                 v = None
         return reservoir, False

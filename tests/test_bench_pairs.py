@@ -42,6 +42,38 @@ def test_a_clear_gain_holds():
     assert "better in 10/10  gain holds" in bench_pairs.render(row)
 
 
+def test_a_clear_loss_is_a_regression():
+    parent = [1.46, 1.45, 1.47, 1.44, 1.46, 1.48, 1.43, 1.46, 1.49, 1.45]
+    change = [1.60, 1.58, 1.62, 1.59, 1.61, 1.63, 1.57, 1.60, 1.64, 1.56]
+    row = bench_pairs.summarise(pairs_of(parent, change), METRICS)[0]
+    assert (row["wins"], row["losses"]) == (0, 10)
+    assert row["regression"] and not row["claim"]
+    assert "better in 0/10  gain not shown  worse in 10/10  regression shown" in bench_pairs.render(row)
+
+
+def test_a_gain_shows_no_regression():
+    parent = [1.60, 1.58, 1.62, 1.59, 1.61, 1.63, 1.57, 1.60, 1.64, 1.56]
+    change = [1.46, 1.45, 1.47, 1.44, 1.46, 1.48, 1.43, 1.46, 1.49, 1.45]
+    row = bench_pairs.summarise(pairs_of(parent, change), METRICS)[0]
+    assert row["losses"] == 0 and not row["regression"]
+    assert bench_pairs.render(row).endswith("worse in 0/10  regression not shown")
+
+
+def test_eight_losses_in_ten_or_a_loss_inside_the_parent_iqr_are_no_regression():
+    row = bench_pairs.summarise(pairs_of([1.60] * 10, [1.80] * 8 + [1.50] * 2), METRICS)[0]
+    assert row["losses"] == 8 and not row["regression"]
+    parent = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    row = bench_pairs.summarise(pairs_of(parent, [p + 0.01 for p in parent]), METRICS)[0]
+    assert row["losses"] == 10 and not row["regression"]
+
+
+def test_lower_is_worse_where_higher_is_better():
+    pairs = [(result(1.0, score=s + 2), result(1.0, score=s)) for s in (10, 11, 10, 11, 10, 11, 10, 11, 10, 11)]
+    score = bench_pairs.summarise(pairs, METRICS)[1]
+    assert score["losses"] == 10
+    assert score["regression"]
+
+
 def test_eight_wins_in_ten_are_not_a_gain():
     parent = [1.60] * 10
     change = [1.40] * 8 + [1.70] * 2

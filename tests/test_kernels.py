@@ -26,7 +26,7 @@ from randaudit.generators import (
     ScriptedGenerator,
     WichmannHillGenerator,
 )
-from randaudit.integers import KERNELS, MAX_REJECTIONS, METHODS, RandomSource, randint_floor
+from randaudit.integers import KERNELS, MAX_REJECTIONS, METHODS, RandomSource, RangeTile, randint_floor
 
 # ---------------------------------------------------------------------------
 # The scalar oracle
@@ -141,19 +141,38 @@ RANGE = st.one_of(
 # in copies are rebuilt as equal ints that are distinct objects
 RUN = st.tuples(RANGE, st.integers(min_value=1, max_value=5), st.sets(st.integers(min_value=0, max_value=4)))
 
-# a call is a list of ranges, (m, count) drawn as repeat(m, count), or a
-# list of runs drawn as one flat list
+# a range object around a center: (center, a, b, step) is the values
+# center + a .. center + b in the direction of step; around the small
+# centers it holds values <= 0 and 1, and it crosses powers of two, and
+# around "full" it crosses 2**width; up to 81 values, so both short and
+# long ranges
+RANGE_OBJECT = st.tuples(
+    st.sampled_from((0, 1, 3, 16, 300, "full", "over", "murdoch")),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from((1, -1)),
+)
+
+# a call is a list of ranges, (m, count) drawn as repeat(m, count), a list
+# of runs drawn as one flat list, or a range object
 CALL = st.one_of(
     st.lists(RANGE, max_size=12),
     st.tuples(RANGE, st.integers(min_value=0, max_value=12)),
     st.lists(RUN, min_size=1, max_size=4).map(lambda runs: {"runs": runs}),
+    RANGE_OBJECT.map(lambda spec: {"range": spec}),
 )
+
+
+def range_object(spec, width):
+    center, a, b, step = spec
+    center, (a, b) = resolve(center, width), sorted((a, b))
+    return range(center + a, center + b + 1) if step > 0 else range(center + b, center + a - 1, -1)
 
 
 def flatten(runs, width):
     """The flat range list of ``runs``.  Rebuilt entries are equal to their
     run's m but, for m outside CPython's small-int cache (-5..256), distinct
-    objects, so the mask kernel redoes m's setup there."""
+    objects, which no draw may tell apart."""
     ranges = []
     for m, count, copies in runs:
         m = resolve(m, width)
@@ -176,6 +195,9 @@ def flatten(runs, width):
 @example(name="hash_counter/16", method="mask", skip=0, calls=[{"runs": [(300, 3, {1}), ("one", 2, set()), (300, 3, {0})]}])
 @example(name="hash_counter/16", method="mask", skip=0, calls=[{"runs": [(300, 3, set()), ("over", 2, {1}), (300, 3, {2})]}])
 @example(name="hash_counter/16", method="mask", skip=0, calls=[{"runs": [(300, 2, {1}), (5, 2, set())]}])
+# ranges down across 2**width + 1 and up across 1 into 0, long and short
+@example(name="hash_counter/8", method="mask", skip=0, calls=[{"range": ("full", -40, 40, -1)}, {"range": (0, 3, 5, 1)}])
+@example(name="scripted", method="mask", skip=0, calls=[{"range": (1, -3, 40, 1)}])
 def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
     gen = GENERATORS[name]()
     gen.words(skip)
@@ -188,6 +210,9 @@ def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
                 m, count = resolve(call[0], gen.width), call[1]
                 ranges = [m] * count
                 drawn = repeat(m, count)
+            elif isinstance(call, dict) and "range" in call:
+                drawn = range_object(call["range"], gen.width)
+                ranges = list(drawn)
             elif isinstance(call, dict):
                 ranges = drawn = flatten(call["runs"], gen.width)
             else:
@@ -203,6 +228,33 @@ def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
             assert gen.words_emitted == ref.words_emitted
             if expected_error is not None:
                 break
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_sequence_object_drawn_at_two_widths(method):
+    # a mask plan is kept per width: on the tile, and in the cache of short
+    # ranges; a plain tuple gets a new plan at every call
+    ranges = (2, 3, 5, 300, 1, 17, 256, 257, 9)
+    for drawn in (ranges, RangeTile(ranges), range(70, 1, -1), range(2, 20)):
+        for name in ("hash_counter/8", "hash_counter/16", "hash_counter/8"):
+            gen = GENERATORS[name]()
+            ref = gen.clone()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnreachableValuesWarning)
+                assert KERNELS[method](gen, drawn) == oracle_draws(ref, method, drawn)[0]
+            assert gen.words_emitted == ref.words_emitted
+
+
+@pytest.mark.parametrize("m", [0, 2, 5, 300, "over", "murdoch"])
+def test_an_unbounded_repeat_draws_until_a_draw_raises(m):
+    # the 60-word script runs out (m = 1 would draw forever without a word)
+    gen = GENERATORS["scripted"]()
+    ref = gen.clone()
+    m = resolve(m, gen.width)
+    expected_error = oracle_draws(ref, "mask", repeat(m))[1]
+    with pytest.raises(expected_error):
+        KERNELS["mask"](gen, repeat(m))
+    assert gen.words_emitted == ref.words_emitted
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,28 @@ class TestFisherYates:
         assert shuffle == a
         assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
 
+    @pytest.mark.parametrize("gen", ["hash_counter/32", "hash_counter/8"])
+    @pytest.mark.parametrize("n", [1, 2, 7, DRAW_CHUNK + 1])
+    def test_many_shuffles_match_per_position_draws(self, gen, n):
+        # two whole tiles of DRAW_CHUNK // (n - 1) shuffles and part of a
+        # third; past DRAW_CHUNK each shuffle is one call per range slice
+        count = 2 * (DRAW_CHUNK // max(n - 1, 1)) + 3
+        src, oracle = RandomSource(GENERATORS[gen]()), RandomSource(GENERATORS[gen]())
+        perms = shuffles(src, n, count)
+        drawn = []
+        # pairs taken as the Spearman test takes them
+        for p in perms:
+            drawn += [p, next(perms)] if len(drawn) + 1 < count else [p]
+        expected = []
+        for _ in range(count):
+            a = list(range(1, n + 1))
+            for i in range(n - 1, 0, -1):
+                j = oracle.randint(i + 1)
+                a[i], a[j - 1] = a[j - 1], a[i]
+            expected.append(a)
+        assert drawn == expected
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
+
 
 class TestRandomIndices:
     def test_exhausting_the_range_gives_a_permutation(self):
@@ -279,6 +301,14 @@ class TestVitterZ:
         # past the reservoir brings the running product down to 0
         sample = vitter_z(range(1, 6), 2, RandomSource(ScriptedGenerator([0], width=8)))
         assert (sample.items, sample.words, sample.draws) == ((1, 2), 1, 0)
+
+    @pytest.mark.parametrize("k", [539, 540, 1000])
+    def test_zero_skip_fraction_keeps_no_record_after_the_product_underflows(self, k):
+        # from k = 540 the float product of (t - k) / t falls to 0.0 within
+        # the stream's 2k - 1 records past the reservoir
+        source = RandomSource(ScriptedGenerator([0], width=8, cycles=None))
+        sample = vitter_z(range(1, 3 * k), k, source)
+        assert (sample.items, sample.words, sample.draws) == (tuple(range(1, k + 1)), 1, 0)
 
     def test_short_stream_flagged(self):
         with pytest.warns(ShortStreamWarning):
