@@ -8,8 +8,12 @@ Pair i runs perfbench/run.py from both source checkouts with seed
 ``--seed + i`` and the ``run_seconds`` of the change's BENCHMARK.json;
 the parent goes first in even pairs and the change in odd ones.  The two
 checkouts' absolute paths must have the same length, because the path's
-length moves ``peak_rss_mb``.  Any run that exits nonzero, prints no
-result or is not ``correct`` stops the script with exit code 1.
+length moves ``peak_rss_mb``.  Neither checkout may hold a ``__pycache__``
+directory, because compiled bytecode moves ``setup_s`` and
+``peak_rss_mb``; the script names the first it finds and exits 2, and it
+runs every child with ``PYTHONDONTWRITEBYTECODE=1`` so that no run
+leaves one behind.  Any run that exits nonzero, prints no result or is
+not ``correct`` stops the script with exit code 1.
 
 For each metric it prints both sides' median and quartiles, the pairs in
 which the change was better and those in which it was worse (ties count
@@ -30,12 +34,21 @@ import subprocess
 import sys
 
 
+def bytecode_cache(checkout: str) -> str | None:
+    """The first ``__pycache__`` directory under ``checkout``, or None."""
+    for root, dirs, _ in os.walk(checkout):
+        if "__pycache__" in dirs:
+            return os.path.join(root, "__pycache__")
+    return None
+
+
 def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench/run.py result from ``checkout``; ValueError unless it ran
-    and its outputs checked correct."""
+    """One perfbench/run.py result from ``checkout``, run with bytecode
+    writing off; ValueError unless it ran and its outputs checked correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
@@ -100,6 +113,10 @@ def main(argv=None) -> int:
         parser.error(f"checkout paths differ in length ({len(parent)} and {len(change)} characters)")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    for side in (parent, change):
+        if cache := bytecode_cache(side):
+            print(f"error: {cache} exists; remove every __pycache__ under both checkouts", file=sys.stderr)
+            return 2
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
 

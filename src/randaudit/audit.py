@@ -24,7 +24,7 @@ from operator import eq
 from . import bounds
 from .errors import InfeasibleSizeError
 from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
-from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value_scaled
+from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value
 from .sampling import SampleSpec, shuffles
 
 # perfbench/spans.py wraps these by their names in this module
@@ -58,7 +58,7 @@ MURDOCH_SCALE = (2 ** 33, 5)
 # scale over 2^32 in lowest terms (2/5): entries 3, 4, 8 and 9 (see
 # murdoch_experiment for why the residue decides it).
 _D = Fraction(MURDOCH_SCALE[0], MURDOCH_SCALE[1] << 32).denominator
-_FLOOR_PARITY = tuple(1 - floor_value_scaled(r, 32, *MURDOCH_SCALE) % 2 for r in range(2 * _D))
+_FLOOR_PARITY = tuple(1 - floor_value(r, 32, *MURDOCH_SCALE) % 2 for r in range(2 * _D))
 
 DEFAULT_ALPHA = 0.001
 
@@ -355,7 +355,7 @@ def murdoch_experiment(gen: Generator, method: str, replications: int) -> AuditR
     the range is even and the observed fraction sits at 50%.
 
     Each floor draw is 1 + floor(q * word / d), with q/d = 2/5 the scale
-    over 2^32 in lowest terms: the same integer floor_value_scaled gives.
+    over 2^32 in lowest terms: the same integer floor_value gives.
     Its parity is read from a 2d-entry table at word mod 2d (10), which is
     exact because floor(q(w + 2dt) / d) = floor(q * w / d) + 2qt: moving
     the word by a multiple of 2d moves the floor by an even number.  So

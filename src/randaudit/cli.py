@@ -55,7 +55,7 @@ _ALGO_NAMES = tuple(sorted(tag.replace("_", "-") for tag in ALGORITHMS))
 PRNG_VARIANTS = {"hash": "hash_counter", "mt": "mt19937", "lcg": "lcg", "wh": "wichmann_hill"}
 
 # argparse dests of the seed flags and of the LCG fields
-SEED_FLAGS = ("seed", "seed_string", "seed_file")
+SEED_FLAGS = ("seed", "seed_file")
 LCG_FLAGS = ("a", "c", "m")
 
 
@@ -79,7 +79,7 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
         raise CliError(f"pass one seed flag, not {' and '.join(given)}")
     if args.seed_file is not None:
         return str(load_seed(args.seed_file))
-    for seed in (args.seed, args.seed_string, os.environ.get(SEED_ENV)):
+    for seed in (args.seed, os.environ.get(SEED_ENV)):
         if seed is not None:
             return seed
     if allow_entropy:
@@ -90,9 +90,7 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
             file=sys.stderr,
         )
         return seed
-    raise CliError(
-        f"a seed is required: pass --seed/--seed-string/--seed-file or set {SEED_ENV}"
-    )
+    raise CliError(f"a seed is required: pass --seed or --seed-file or set {SEED_ENV}")
 
 
 def _build_generator(args, allow_entropy: bool):
@@ -317,7 +315,6 @@ def _cmd_audit(args) -> int:
 
 def _add_seed_flags(p: argparse.ArgumentParser, seed_help="seed (integer, or any string for --prng hash)"):
     p.add_argument("--seed", help=seed_help)
-    p.add_argument("--seed-string", help="explicit string seed for --prng hash")
     p.add_argument("--seed-file", help="file with one hex/decimal seed line")
 
 

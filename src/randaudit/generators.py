@@ -4,9 +4,9 @@ Every generator is a finite-state machine that emits fixed-width unsigned
 words.  Equal construction arguments always yield equal output sequences;
 `clone()` snapshots the full state so two copies evolve identically.
 
-A generator's words come from one iterator, its ``stream``.  ``next_word``,
-``words``, ``fractions`` and the integer kernels all read from it, and
-whoever reads words adds their number to ``words_emitted``.
+A generator's words come from one iterator, its ``stream``.  ``words``,
+``fractions`` and the integer kernels all read from it, and whoever reads
+words adds their number to ``words_emitted``.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ class Generator:
     def _start(self) -> None:
         raise NotImplementedError
 
-    def next_word(self) -> int:
-        word = next(self.stream)
-        self.words_emitted += 1
-        return word
-
     def fractions(self, count: int) -> list[float]:
         """The next ``count`` words normalized to [0, 1) as word / 2**width."""
         scale = 1 << self.width
@@ -259,11 +254,11 @@ class WichmannHillGenerator(Generator):
     """Sum of three multiplicative LCGs; native output is a fraction in [0, 1).
 
     ``fractions`` gives the native output, the exact register sum over the
-    product of the moduli rounded once to a float.  ``next_word`` is a
-    32-bit discretization, floor(fraction * 2**32); it loses the low-order
-    part of the native resolution and is provided only so this generator
-    fits the common word interface.  Each word or fraction advances the
-    state once.
+    product of the moduli rounded once to a float.  Its words (``words``)
+    are a 32-bit discretization, floor(fraction * 2**32); they lose the
+    low-order part of the native resolution and exist only so this
+    generator fits the common word interface.  Each word or fraction
+    advances the state once.
     """
 
     width = 32

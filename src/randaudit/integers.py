@@ -4,10 +4,11 @@ Three strategies are implemented: the multiply-and-floor and
 round-to-nearest methods, which are deliberately biased and exist to
 demonstrate that bias, and mask-and-reject, which is exactly uniform
 whenever the input bits are IID uniform.  floor and round map a word by
-one rule each (floor_value, round_value), which the kernels and
-exact_distribution share; round draws its 0 bucket as 1, so value 1 takes
-one and a half buckets and max/min is about 3.  All kernels use integer
-arithmetic only, so results are identical on every platform.
+one rule each (floor_value, whose scale may be a rational num/den, and
+round_value), which the kernels and exact_distribution share; round draws
+its 0 bucket as 1, so value 1 takes one and a half buckets and max/min is
+about 3.  All kernels use integer arithmetic only, so results are
+identical on every platform.
 
 The unit of drawing is a range sequence.  ``KERNELS[method](gen, ranges)``
 draws one integer on {1..m} for each m of ``ranges``, reading words from
@@ -48,7 +49,6 @@ __all__ = [
     "KERNELS",
     "METHODS",
     "floor_value",
-    "floor_value_scaled",
     "round_value",
     "randint_floor",
     "randint_round",
@@ -76,19 +76,16 @@ MAX_REJECTIONS = 64
 # ---------------------------------------------------------------------------
 # Kernels (pure functions of one word)
 
-def floor_value(word: int, width: int, m: int) -> int:
-    """Multiply-and-floor: 1 + floor(m * word / 2**width), exactly."""
-    return 1 + (m * word >> width)
-
-
-def floor_value_scaled(word: int, width: int, num: int, den: int) -> int:
-    """Multiply-and-floor with a rational range scale num/den.
+def floor_value(word: int, width: int, num: int, den: int = 1) -> int:
+    """Multiply-and-floor with the range scale num/den (an integer m is
+    num = m): 1 + floor(num * word / (den * 2**width)), exactly.
 
     Statistical packages that compute ``floor(dn * u)`` in floating point
     effectively use a non-integral dn (for instance an expression like
-    (2/5) * 2**32); this kernel reproduces that behavior exactly.
+    (2/5) * 2**32); a rational num/den reproduces that behavior exactly.
     """
-    return 1 + num * word // (den << width)
+    # floor(floor(x / 2^w) / den) = floor(x / (den 2^w)); den = 1 costs a shift
+    return 1 + (num * word >> width) // den
 
 
 def round_value(word: int, width: int, m: int) -> int:
@@ -388,7 +385,7 @@ def floor_even_probability(width: int, num: int, den: int = 1) -> Fraction:
     is set for exactly half of all words.  The famous 40/60 even/odd split
     therefore does not come from the idealized integer kernel; it needs
     the non-integral scale that floating-point package code actually uses
-    (see floor_value_scaled).
+    (floor_value's num/den scale).
     """
     total = 1 << width
     odd = floor_sum(total, den * total, num, 0) - 2 * floor_sum(

@@ -32,7 +32,7 @@ from randaudit.generators import (
     Mt19937Generator,
     ScriptedGenerator,
 )
-from randaudit.integers import DRAW_CHUNK, floor_even_probability, floor_value_scaled
+from randaudit.integers import DRAW_CHUNK, floor_even_probability, floor_value
 
 
 class TestMurdoch:
@@ -53,7 +53,7 @@ class TestMurdoch:
         words = [w * stride for w in range(1024)]
         num, den = MURDOCH_SCALE
         expected_even = sum(
-            1 for w in words if floor_value_scaled(w, 32, num, den) % 2 == 0
+            1 for w in words if floor_value(w, 32, num, den) % 2 == 0
         )
         reps = 102_400
         gen = ScriptedGenerator(words, width=32, cycles=reps // len(words))
@@ -70,7 +70,7 @@ class TestMurdoch:
         gen = make()
         twin = gen.clone()
         r = murdoch_experiment(gen, "floor", reps)
-        expected = sum(floor_value_scaled(w, 32, *MURDOCH_SCALE) % 2 == 0 for w in twin.words(reps))
+        expected = sum(floor_value(w, 32, *MURDOCH_SCALE) % 2 == 0 for w in twin.words(reps))
         assert r.observed["even_count"] == expected
         assert gen.words_emitted == reps
 
@@ -92,9 +92,9 @@ class TestMurdoch:
         g = math.gcd(num, den << 32)
         q, d = num // g, (den << 32) // g
         assert (q, d) == (2, 5)
-        assert q * w // d == floor_value_scaled(w, 32, num, den) - 1
+        assert q * w // d == floor_value(w, 32, num, den) - 1
         # the parity the audit reads for this word
-        assert _FLOOR_PARITY[w % 10] == (floor_value_scaled(w, 32, num, den) - 1) & 1
+        assert _FLOOR_PARITY[w % 10] == (floor_value(w, 32, num, den) - 1) & 1
 
     def test_floor_parity_table_over_every_word_is_the_exact_reference(self):
         # no sampling: each residue class mod 10 counted over all 2^32 words

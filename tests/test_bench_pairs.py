@@ -119,3 +119,35 @@ def test_a_run_without_a_correct_result_is_an_error(tmp_path):
     # a checkout with no perfbench/run.py: the child exits nonzero
     with pytest.raises(ValueError, match="no correct result"):
         bench_pairs.run_side(str(tmp_path), "murdoch", 1, 1)
+
+
+def test_a_bytecode_cache_under_either_checkout_is_refused(tmp_path, capsys):
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    for side in ("a", "b"):
+        cache = tmp_path / side / "src" / "randaudit" / "__pycache__"
+        cache.mkdir(parents=True)
+        code = bench_pairs.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                                 "--workload", "murdoch", "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache} exists") and err.count("\n") == 1
+        cache.rmdir()
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    # a stand-in perfbench/run.py that imports a module of its checkout,
+    # run from an environment that would write bytecode
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "stand_in.py").write_text("VALUE = 1\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os, sys\n"
+        "sys.path.insert(0, 'src')\n"
+        "import stand_in\n"
+        "print(json.dumps({'correct': True, 'flag': os.environ.get('PYTHONDONTWRITEBYTECODE')}))\n"
+    )
+    result = bench_pairs.run_side(str(tmp_path), "murdoch", 1, 1)
+    assert result == {"correct": True, "flag": "1"}
+    assert bench_pairs.bytecode_cache(str(tmp_path)) is None

@@ -16,14 +16,14 @@ def run_cli(capsys, *argv):
 class TestGen:
     def test_hash_words_deterministic(self, capsys):
         code, out, _ = run_cli(
-            capsys, "gen", "--prng", "hash", "--seed-string", "abc", "--count", "3"
+            capsys, "gen", "--prng", "hash", "--seed", "abc", "--count", "3"
         )
         assert code == 0
         header, *values = out.strip().splitlines()
         assert header.startswith("# ")
         assert json.loads(header[2:])["seed"] == "abc"
         code2, out2, _ = run_cli(
-            capsys, "gen", "--prng", "hash", "--seed-string", "abc", "--count", "3"
+            capsys, "gen", "--prng", "hash", "--seed", "abc", "--count", "3"
         )
         assert out2 == out
 
@@ -87,6 +87,13 @@ class TestGen:
         )
         assert code == 0
         assert float(out.strip().splitlines()[1]) < 1.0
+
+    def test_seed_file_reads_as_the_same_seed(self, capsys, tmp_path):
+        path = tmp_path / "seed.txt"
+        path.write_text("# the seed 31\n0x1f\n")
+        from_file = run_cli(capsys, "gen", "--seed-file", str(path), "--count", "3")
+        assert from_file == run_cli(capsys, "gen", "--seed", "31", "--count", "3")
+        assert from_file[0] == 0
 
     def test_env_seed_used(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV, "fromenv")
@@ -211,6 +218,24 @@ class TestBounds:
     def test_requires_target(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--state-bits", "32")
         assert code == USAGE_ERROR
+
+    def test_requires_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, "bounds")
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err == "error: pass --table1 or --state-bits with a target\n"
+
+    def test_plain_target_text_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--state-bits", "32", "--target", "100")
+        assert code == 0
+        assert out.splitlines() == [
+            "state_bits: 32",
+            "target: 100",
+            "target_sci: 1.00000e+2",
+            "fraction: 1.00000",
+            "fraction_sci: 1.00000e+0",
+            "l1_lower_bound: 0",
+        ]
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -392,9 +417,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gen", "--seed", "1", "--seed-string", "x"], "pass one seed flag, not --seed and --seed-string"),
+            (["gen", "--seed", "1", "--seed-file", "s.txt"], "pass one seed flag, not --seed and --seed-file"),
             (["sample", "--n", "5", "--k", "2", "--seed", "1", "--seed-file", "s.txt"], "--seed and --seed-file"),
-            (["audit", "calibration", "--seed-string", "x", "--seed-file", "s.txt"], "pass one seed flag"),
+            (["audit", "calibration", "--seed", "x", "--seed-file", "s.txt"], "pass one seed flag"),
             (["gen", "--prng", "hash", "--m", "5", "--a", "3", "--c", "1", "--seed", "x"],
              "--prng hash takes no --a or --c or --m"),
             # no seed: the flag is refused before gen warns of fresh entropy

@@ -13,7 +13,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--scripted": ("scripted", None, None, None, False),
         "--count": ("count", "int", 10, None, False),
@@ -27,7 +26,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--scripted": ("scripted", None, None, None, False),
         "--n": ("n", "int", None, None, False),
@@ -52,7 +50,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--method": ("method", None, None, ("floor", "mask"), True),
         "--reps": ("replications", "int", 1000000, None, False),
@@ -73,7 +70,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--n": ("n", "int", 7, None, False),
         "--reps": ("replications", "int", 10000, None, False),
@@ -87,7 +83,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--n": ("n", "int", 7, None, False),
         "--reps": ("replications", "int", 10000, None, False),
@@ -101,7 +96,6 @@ FLAGS = {
         "--c": ("c", "int", None, None, False),
         "--m": ("m", "int", None, None, False),
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--n": ("n", "int", 5, None, False),
         "--k": ("k", "int", 2, None, False),
@@ -114,7 +108,6 @@ FLAGS = {
     },
     "audit calibration": {
         "--seed": ("seed", None, None, None, False),
-        "--seed-string": ("seed_string", None, None, None, False),
         "--seed-file": ("seed_file", None, None, None, False),
         "--repetitions": ("repetitions", "int", 100, None, False),
         "--alpha": ("alpha", "float", 0.001, None, False),

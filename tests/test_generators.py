@@ -39,14 +39,14 @@ MT_5489_FIRST_10 = [
 class TestLcg:
     def test_randu_first_word_is_forced(self):
         g = LcgGenerator(RANDU, 1)
-        assert g.next_word() == 65539
+        assert g.words(1)[0] == 65539
 
     def test_randu_second_word_matches_big_integer_oracle(self):
         # 65539^2 mod 2^31 by exact arbitrary-precision arithmetic
         expected = 65539 ** 2 % 2 ** 31
         g = LcgGenerator(RANDU, 1)
-        g.next_word()
-        assert g.next_word() == expected == 393225
+        g.words(1)
+        assert g.words(1)[0] == expected == 393225
 
     def test_seed_is_identity_initialization(self):
         g = LcgGenerator(RANDU, 1)
@@ -126,7 +126,7 @@ class TestFullPeriod:
         g = LcgGenerator(params, 17)
         seen = {g.register}
         for _ in range(params.m):
-            seen.add(g.next_word())
+            seen.add(g.words(1)[0])
         assert len(seen) == params.m
 
     def test_full_period_orbit_at_the_2_16_ceiling(self):
@@ -137,7 +137,7 @@ class TestFullPeriod:
         x = 12345
         for _ in range(params.m):
             seen.add(x)
-            x = g.next_word()
+            x = g.words(1)[0]
         assert len(seen) == params.m and x == 12345
 
     @given(
@@ -158,7 +158,7 @@ class TestFullPeriod:
         x = start
         for _ in range(m):
             seen.add(x)
-            x = g.next_word()
+            x = g.words(1)[0]
         covers = len(seen) == m and x == start
         assert full_period(params) == covers
 
@@ -173,7 +173,7 @@ class TestWichmannHill:
     def test_word_is_floor_of_fraction(self):
         a = WichmannHillGenerator((1, 1, 1))
         b = WichmannHillGenerator((1, 1, 1))
-        word = a.next_word()
+        word = a.words(1)[0]
         [frac] = b.fractions(1)
         assert word == math.floor(frac * 2 ** 32) or abs(word / 2 ** 32 - frac) < 2 ** -32
 
@@ -191,21 +191,21 @@ class TestWichmannHill:
 
 class TestMt19937:
     def test_first_word_from_default_seed(self):
-        assert Mt19937Generator(5489).next_word() == 3499211612
+        assert Mt19937Generator(5489).words(1)[0] == 3499211612
 
     def test_first_ten_words(self):
         g = Mt19937Generator(5489)
-        assert [g.next_word() for _ in range(10)] == MT_5489_FIRST_10
+        assert [g.words(1)[0] for _ in range(10)] == MT_5489_FIRST_10
 
     def test_matches_independent_reference_for_1000_words(self):
         np = pytest.importorskip("numpy")
         ref = np.random.RandomState(5489).randint(0, 2 ** 32, size=1000, dtype=np.uint64)
         assert Mt19937Generator(5489).words(1000) == list(ref)
 
-    def test_batch_words_equal_repeated_next_word(self):
+    def test_batch_words_equal_one_word_calls(self):
         a = Mt19937Generator(99)
         b = Mt19937Generator(99)
-        assert a.words(1500) == [b.next_word() for _ in range(1500)]
+        assert a.words(1500) == [b.words(1)[0] for _ in range(1500)]
 
     def test_seed_reduced_mod_2_32(self):
         a = Mt19937Generator(7)
@@ -229,10 +229,10 @@ class TestHashCounter:
 
     def test_eight_32_bit_words_per_digest_then_counter_advances(self):
         g = HashCounterGenerator("abc")
-        first_eight = [g.next_word() for _ in range(8)]
+        first_eight = [g.words(1)[0] for _ in range(8)]
         assert first_eight == list(digest_words(b"abc", 0))
         assert g.counter == 1
-        assert g.next_word() == digest_words(b"abc", 1)[0]
+        assert g.words(1)[0] == digest_words(b"abc", 1)[0]
         assert g.counter == 2
 
     def test_output_independent_of_query_order(self):
@@ -242,13 +242,18 @@ class TestHashCounter:
         streamed = g.words(6 * 8)[5 * 8 :]
         assert list(direct) == streamed
 
-    def test_batch_words_equal_repeated_next_word(self):
+    def test_batch_words_equal_one_word_calls(self):
         # start mid-block so the batch spans digest-block boundaries
         a = HashCounterGenerator("batch")
-        first = a.next_word()
+        first = a.words(1)[0]
         rest = a.words(21)
         b = HashCounterGenerator("batch")
-        assert [first] + rest == [b.next_word() for _ in range(22)]
+        assert [first] + rest == [b.words(1)[0] for _ in range(22)]
+
+    def test_seed_5_as_int_str_or_bytes_gives_one_stream(self):
+        expected = HashCounterGenerator("5").words(9)
+        assert HashCounterGenerator(5).words(9) == expected
+        assert HashCounterGenerator(b"5").words(9) == expected
 
     def test_nondefault_width(self):
         g = HashCounterGenerator("abc", width=16)
@@ -260,7 +265,7 @@ class TestHashCounter:
     def test_hash_switch(self):
         g = HashCounterGenerator("abc", hash_name="sha3_256")
         h = HashCounterGenerator("abc", hash_name="sha256")
-        assert g.next_word() != h.next_word()
+        assert g.words(1)[0] != h.words(1)[0]
         with pytest.raises(ValueError):
             HashCounterGenerator("abc", hash_name="sha512")
 
@@ -326,29 +331,29 @@ class TestDigestWords:
             digest_words(b"x", 0, width=width, hash_name=hash_name)
 
 
-# read n words from gen and return them: one words(n) call, n next_word()
+# read n words from gen and return them: one words(n) call, n words(1)
 # calls, or n draws on {1..2^width} by a kernel, each of which reads one
 # word and returns it plus 1
 READS = {
     "words": lambda gen, n: gen.words(n),
-    "next": lambda gen, n: [gen.next_word() for _ in range(n)],
+    "one": lambda gen, n: [gen.words(1)[0] for _ in range(n)],
     "floor": lambda gen, n: [v - 1 for v in KERNELS["floor"](gen, [1 << gen.width] * n)],
     "mask": lambda gen, n: [v - 1 for v in KERNELS["mask"](gen, [1 << gen.width] * n)],
 }
 
 
 class TestInterleavedCalls:
-    """words(n), next_word() and kernel draws mixed in one stream, around
+    """words(n), words(1) and kernel draws mixed in one stream, around
     MT's 624-word state and the hash counter's digest blocks, against
     references that share no code with the generators."""
 
     # (read, n) reads n words through READS[read]; the words(0) after
-    # ("next", 3) sits inside a partly read block
+    # ("one", 3) sits inside a partly read block
     STEPS = [
-        ("next", 3), ("words", 0), ("words", 1), ("words", 623), ("next", 1),
-        ("words", 624), ("words", 0), ("words", 625), ("next", 2), ("words", 1249),
-        ("words", 0), ("next", 1), ("floor", 5), ("mask", 0), ("mask", 7), ("floor", 630),
-        ("mask", 625), ("next", 1),
+        ("one", 3), ("words", 0), ("words", 1), ("words", 623), ("one", 1),
+        ("words", 624), ("words", 0), ("words", 625), ("one", 2), ("words", 1249),
+        ("words", 0), ("one", 1), ("floor", 5), ("mask", 0), ("mask", 7), ("floor", 630),
+        ("mask", 625), ("one", 1),
     ]
     TOTAL = sum(n for _, n in STEPS)
     CLONE_AFTER = 3  # after 627 words: mid-state for MT, mid-block for every hash width but 256
@@ -405,7 +410,7 @@ class TestCursor:
             assert twin.counter == -(-(offset + per_block + 1) // per_block)
             # the clone shares no hash state: the original did not move
             assert gen.counter == counter
-            assert gen.next_word() == reference[offset]
+            assert gen.words(1)[0] == reference[offset]
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_mid_stream_clone(self, variant):
@@ -424,19 +429,19 @@ class TestCursor:
 class TestScripted:
     def test_emits_in_order_then_errors(self):
         g = ScriptedGenerator([3, 1, 4], width=3)
-        assert [g.next_word() for _ in range(3)] == [3, 1, 4]
+        assert [g.words(1)[0] for _ in range(3)] == [3, 1, 4]
         with pytest.raises(ScriptedExhaustedError):
-            g.next_word()
+            g.words(1)
 
     def test_explicit_cycles(self):
         g = ScriptedGenerator([1, 2], width=2, cycles=2)
-        assert [g.next_word() for _ in range(4)] == [1, 2, 1, 2]
+        assert [g.words(1)[0] for _ in range(4)] == [1, 2, 1, 2]
         with pytest.raises(ScriptedExhaustedError):
-            g.next_word()
+            g.words(1)
 
     def test_unbounded_cycles(self):
         g = ScriptedGenerator([7], width=3, cycles=None)
-        assert [g.next_word() for _ in range(5)] == [7] * 5
+        assert [g.words(1)[0] for _ in range(5)] == [7] * 5
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
@@ -491,7 +496,7 @@ class TestDeterminismAndCloning:
         g.words(700)
         c = g.clone()
         assert g.words(50) == c.words(50)
-        g.next_word()
+        g.words(1)
         assert g.words_emitted == c.words_emitted + 1
 
     def test_spec_roundtrip(self):
@@ -507,9 +512,9 @@ class TestDeterminismAndCloning:
 
     def test_seed_generator_factory(self):
         g = seed_generator("lcg", 1, params=RANDU)
-        assert g.next_word() == 65539
+        assert g.words(1)[0] == 65539
         g = seed_generator("mt19937", 5489)
-        assert g.next_word() == 3499211612
+        assert g.words(1)[0] == 3499211612
         g = seed_generator("hash_counter", "abc")
         assert g.counter == 0
         with pytest.raises(ValueError):
@@ -540,9 +545,9 @@ class TestFractions:
         ref = gen.clone()
         for count in FRACTION_SPLITS:
             before = gen.words_emitted
-            assert gen.fractions(count) == [ref.next_word() / 2 ** ref.width for _ in range(count)]
+            assert gen.fractions(count) == [ref.words(1)[0] / 2 ** ref.width for _ in range(count)]
             assert gen.words_emitted == before + count
-        assert gen.fractions(1)[0] == ref.next_word() / 2 ** ref.width
+        assert gen.fractions(1)[0] == ref.words(1)[0] / 2 ** ref.width
         assert gen.words(5) == ref.words(5)
 
     def test_wichmann_hill_fractions_are_native(self):
@@ -561,7 +566,7 @@ class TestFractions:
             assert gen.fractions(count) == [float(native()) for _ in range(count)]
             assert gen.words_emitted == before + count
             # the word interface continues the same register sequence
-            assert gen.next_word() == math.floor(native() * 2 ** 32)
+            assert gen.words(1)[0] == math.floor(native() * 2 ** 32)
         assert gen.fractions(1)[0] == float(native())
         assert gen.registers == tuple(registers)
 
@@ -609,7 +614,7 @@ class TestFileFormats:
         p.write_text("width=8\n12\n255\n0\n")
         g = load_scripted(p)
         assert g.width == 8
-        assert [g.next_word() for _ in range(3)] == [12, 255, 0]
+        assert [g.words(1)[0] for _ in range(3)] == [12, 255, 0]
 
     def test_scripted_file_needs_header(self, tmp_path):
         p = tmp_path / "bad.txt"

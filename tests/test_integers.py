@@ -21,7 +21,6 @@ from randaudit.integers import (
     floor_even_probability,
     floor_sum,
     floor_value,
-    floor_value_scaled,
     randint_floor,
     randint_mask,
     randint_round,
@@ -45,6 +44,13 @@ def brute_distribution(method, width, m):
 class TestFloor:
     def test_single_word_example(self):
         assert floor_value(7, 3, 3) == 3  # 1 + floor(21/8)
+
+    def test_rational_scale_is_one_floor_of_the_exact_product(self):
+        # num/den = 7/2 at width 3: 1 + floor(7 * word / 16), and an integer
+        # m is the scale m*k/k for every k
+        assert [floor_value(x, 3, 7, 2) for x in range(8)] == [1 + 7 * x // 16 for x in range(8)]
+        for k in (1, 3, 5):
+            assert [floor_value(x, 5, 6 * k, k) for x in range(32)] == [floor_value(x, 5, 6) for x in range(32)]
 
     def test_w3_m3_distribution(self):
         d = exact_distribution("floor", 3, 3)
@@ -292,7 +298,7 @@ class TestFloorSumAndParity:
         brute = sum(
             1
             for x in range(1 << width)
-            if floor_value_scaled(x, width, 2 ** (width + 1), 5) % 2 == 0
+            if floor_value(x, width, 2 ** (width + 1), 5) % 2 == 0
         )
         assert floor_even_probability(width, 2 ** (width + 1), 5) == Fraction(
             brute, 1 << width

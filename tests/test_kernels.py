@@ -1,7 +1,8 @@
 """Range-sequence kernels against the scalar draw-by-draw oracle.
 
 The oracle below is the one-draw-per-call code the kernels replaced: each
-call reads words through ``next_word`` and returns one integer.  A kernel
+call reads words one at a time, through ``words(1)``, and returns one
+integer.  A kernel
 given a sequence of ranges must return exactly what the oracle returns
 for those ranges one call at a time, leave ``words_emitted`` where the
 oracle leaves it, and raise where the oracle raises.
@@ -35,14 +36,14 @@ from randaudit.integers import KERNELS, MAX_REJECTIONS, METHODS, RandomSource, R
 def scalar_floor(gen, m):
     if m < 1:
         raise ValueError("m must be >= 1")
-    return 1 + (m * gen.next_word() >> gen.width)
+    return 1 + (m * gen.words(1)[0] >> gen.width)
 
 
 def scalar_round(gen, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     w = gen.width
-    return max(1, (2 * m * gen.next_word() + (1 << w)) >> (w + 1))
+    return max(1, (2 * m * gen.words(1)[0] + (1 << w)) >> (w + 1))
 
 
 def scalar_mask(gen, m):
@@ -57,7 +58,7 @@ def scalar_mask(gen, m):
     rejected = 0
     while True:
         while bits < mu:
-            pool = (pool << w) | gen.next_word()
+            pool = (pool << w) | gen.words(1)[0]
             bits += w
         shift = bits - mu
         r = pool >> shift
@@ -272,14 +273,14 @@ def test_bad_range_raises_before_reading_its_word(method, bad, position):
     with pytest.raises(ValueError):
         KERNELS[method](gen, ranges)
     assert gen.words_emitted == position
-    assert gen.next_word() == position  # no word was read for the bad range
+    assert gen.words(1)[0] == position  # no word was read for the bad range
     # the bad range as a run, after the same ranges in a call of their own
     gen = ScriptedGenerator(list(range(8)), width=3)
     KERNELS[method](gen, [4, 8, 4][:position])
     with pytest.raises(ValueError):
         KERNELS[method](gen, repeat(bad, 3))
     assert gen.words_emitted == position
-    assert gen.next_word() == position
+    assert gen.words(1)[0] == position
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -332,8 +332,8 @@ def test_cli_audits_run_without_scipy_sympy_or_numpy():
     # standard-library code; scipy, sympy and numpy are test oracles only
     commands = [
         ["audit", "murdoch", "--prng", "mt", "--seed", "1", "--method", "floor", "--reps", "100000"],
-        ["audit", "derangement", "--seed-string", "x", "--n", "7", "--reps", "10000"],
-        ["audit", "sample-frequency", "--seed-string", "x", "--n", "5", "--k", "2", "--reps", "1000"],
+        ["audit", "derangement", "--seed", "x", "--n", "7", "--reps", "10000"],
+        ["audit", "sample-frequency", "--seed", "x", "--n", "5", "--k", "2", "--reps", "1000"],
         ["audit", "coverage", "--a", "5", "--c", "1", "--m", "64", "--n", "4"],
     ]
     assert run_main_in_one_process(commands) == {"codes": [0, 0, 0, 0], "loaded": []}
@@ -350,7 +350,7 @@ SIGNED = st.integers(min_value=-3 * DRAW_CHUNK, max_value=3 * DRAW_CHUNK)
 LCG_FIELD = st.integers(min_value=-2, max_value=300)
 # flags a command would ignore, so it refuses them: a second seed flag, an
 # LCG field without --prng lcg, or either kind with --scripted
-STRAY = [["--seed-string", "x"], ["--a", "3"], ["--c", "1"], ["--m", "5"]]
+STRAY = [["--seed-file", "seed.txt"], ["--a", "3"], ["--c", "1"], ["--m", "5"]]
 
 
 @pytest.fixture(scope="module")
@@ -384,7 +384,7 @@ def generator_flags(draw, scripted=True, seeds=SIGNED):
 
 def is_refused_generator_argv(argv):
     """A stray flag from STRAY, or --int-range with gen --as words or fractions."""
-    seeds = ("--seed" in argv) + ("--seed-string" in argv)
+    seeds = ("--seed" in argv) + ("--seed-file" in argv)
     fields = bool({"--a", "--c", "--m"} & set(argv))
     if "--scripted" in argv:
         return bool(seeds or fields)
