@@ -23,6 +23,10 @@ D_n / n! is too long to print, and a size above
 permutation audit, or ``reservoir-r`` and ``vitter-z`` streaming 1..n;
 k for ``random-indices`` and ``cormen``.  ``audit sample-frequency
 --algorithm`` takes all six samplers.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser on the first call and reuses it, so a call pays only for parsing
+its argv.  ``build_parser()`` returns a new parser on every call.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 import sys
 import warnings
 from contextlib import nullcontext
+from functools import cache
 from itertools import repeat
 
 from . import audit as audit_mod
@@ -207,7 +212,7 @@ def _cmd_sample(args) -> int:
         sample = spec.run(source)
     else:
         with nullcontext(sys.stdin) if args.file == "-" else open(args.file, encoding="utf-8") as fh:
-            sample = spec.run(source, stream=(ln.rstrip("\n") for ln in fh))
+            sample = spec.run(source, stream=map(str.rstrip, fh, repeat("\n")))
 
     for item in sample.items:
         print(item)
@@ -428,9 +433,17 @@ def _warn_one_line(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+@cache
+def _main_parser() -> argparse.ArgumentParser:
+    """main's parser: built on main's first call, then reused for the
+    process.  Parsing leaves a parser as it was: each parse_args makes a
+    new namespace with the defaults, and each help text is formatted when
+    it is printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _warn_one_line
         try:

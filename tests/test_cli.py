@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 
 import pytest
+from test_stream_contract import CLI_DIGESTS, COMMANDS, sha
 
 from randaudit import audit
-from randaudit.cli import INFEASIBLE, SEED_ENV, USAGE_ERROR, main
+from randaudit.cli import INFEASIBLE, SEED_ENV, USAGE_ERROR, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -446,3 +448,61 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "gen", "--prng", "lcg", "--seed", "1")
         assert code == USAGE_ERROR
         assert "--a" in err or "lcg" in err
+
+
+class TestOneParserPerProcess:
+    """main parses every call with one parser; no call leaves a trace in the next."""
+
+    HELP_PATHS = [
+        [], ["gen"], ["sample"], ["bounds"], ["audit"],
+        *(["audit", name.replace("_", "-")] for name in sorted(audit.EXPERIMENTS)),
+    ]
+
+    def test_contract_commands_match_their_digests_around_an_error_and_a_help(self, capsys):
+        def check(command):
+            assert main(COMMANDS[command]) == 0
+            out = re.sub(r'"duration_s": [0-9.e+-]+', '"duration_s": 0', capsys.readouterr().out)
+            assert sha(out) == CLI_DIGESTS[command], command
+
+        for command in sorted(COMMANDS):
+            check(command)
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--frobnicate"])
+        assert exc.value.code == USAGE_ERROR
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        for command in sorted(COMMANDS, reverse=True):
+            check(command)
+
+    @pytest.mark.parametrize(
+        "first, second, key, value",
+        [
+            (["sample", "--seed", "1", "--n", "10", "--k", "3", "--with-replacement"],
+             ["sample", "--seed", "1", "--n", "10", "--k", "3"], "with_replacement", False),
+            (["gen", "--seed", "1", "--as", "integers", "--int-range", "7"],
+             ["gen", "--seed", "1", "--as", "words"], "int_range", None),
+        ],
+        ids=["with-replacement", "int-range"],
+    )
+    def test_a_flag_never_reaches_the_next_calls_header(self, capsys, first, second, key, value):
+        # a leaked --int-range would also make the second gen exit 2
+        assert run_cli(capsys, *first)[0] == 0
+        code, out, _ = run_cli(capsys, *second)
+        assert code == 0
+        assert json.loads(out.splitlines()[0][2:])[key] == value
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("path", HELP_PATHS, ids=lambda path: " ".join(path) or "randaudit")
+    def test_help_matches_a_fresh_parsers_on_every_call(self, capsys, path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*path, "--help"])
+        fresh = capsys.readouterr().out
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*path, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh

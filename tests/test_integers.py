@@ -8,15 +8,17 @@ from itertools import repeat
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randaudit.errors import InfeasibleSizeError, UnreachableValuesWarning
 from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import (
     KERNELS,
+    MAX_EXACT_WIDTH,
     IntDistribution,
     RandomSource,
+    check_masses,
     exact_distribution,
     floor_even_probability,
     floor_sum,
@@ -196,8 +198,11 @@ class TestMask:
 
 class TestExactDistributionContract:
     def test_width_limit(self):
-        with pytest.raises(InfeasibleSizeError):
-            exact_distribution("floor", 25, 10)
+        for method in ("floor", "round"):
+            with pytest.raises(InfeasibleSizeError):
+                exact_distribution(method, MAX_EXACT_WIDTH + 1, 10)
+            # three values at the cap: three walk steps over 2**24 words
+            assert list(exact_distribution(method, MAX_EXACT_WIDTH, 3).probs) == [1, 2, 3]
 
     def test_probabilities_sum_to_one_even_when_m_exceeds_range(self):
         for method in ("floor", "round"):
@@ -214,6 +219,10 @@ class TestExactDistributionContract:
     def test_values_outside_1_to_m_and_negative_masses_are_refused(self, probs):
         with pytest.raises(ValueError, match="nonnegative masses on 1..2"):
             IntDistribution("floor", 2, 2, probs)
+
+    def test_a_zero_mass_is_allowed(self):
+        probs = {1: Fraction(1), 2: Fraction(0)}
+        assert check_masses(probs, 2, "x") is probs
 
     def test_probabilities_must_total_exactly_one(self):
         with pytest.raises(ValueError, match="sum to exactly 1"):
@@ -268,8 +277,19 @@ class TestFloorSumAndParity:
         b=st.integers(min_value=0, max_value=90),
     )
     @settings(max_examples=200)
+    @example(n=0, m=7, a=3, b=5)
     def test_floor_sum_matches_brute_force(self, n, m, a, b):
         assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    def test_parity_matches_brute_force_at_every_small_scale(self):
+        # every width w <= 6, numerator num < 70 and denominator den <= 5;
+        # 1 + floor(t) is even where floor(t) is odd
+        for width in range(1, 7):
+            words = range(1 << width)
+            for den in range(1, 6):
+                for num in range(70):
+                    even = sum(1 for x in words if (num * x // (den << width)) % 2 == 1)
+                    assert floor_even_probability(width, num, den) == Fraction(even, 1 << width), (width, num, den)
 
     @pytest.mark.parametrize("width,m", [(4, 6), (8, 102), (8, 57), (10, 1000), (12, 1638)])
     def test_parity_matches_brute_force(self, width, m):

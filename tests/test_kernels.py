@@ -318,6 +318,27 @@ def test_rejection_limit_settles_the_words_read():
         assert gen.words_emitted == 1 + MAX_REJECTIONS
 
 
+def test_multi_word_draw_raises_at_the_limit_not_before():
+    # m = 2**3 + 1 takes 4-bit candidates from a pool of 3-bit words: 84
+    # words of 7 are 63 candidates of 15, all rejected, and two 0 words
+    # make the 64th, 0, accepted as 1
+    gen = ScriptedGenerator([7] * 84 + [0, 0], width=3)
+    assert KERNELS["mask"](gen, [9]) == [1]
+    assert gen.words_emitted == 86
+    assert MAX_REJECTIONS == 64
+    with pytest.raises(DegenerateStreamError, match="64 mask candidates"):
+        KERNELS["mask"](ScriptedGenerator([7] * 100, width=3), [9])
+
+
+@pytest.mark.parametrize("method", ["floor", "round"])
+def test_one_word_methods_draw_m_1_as_1(method):
+    gen = ScriptedGenerator([0, 3, 7], width=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert KERNELS[method](gen, (1, 1, 1)) == [1, 1, 1]
+    assert gen.words_emitted == 3
+
+
 @pytest.mark.parametrize("method", ["floor", "round"])
 def test_unreachable_warning_once_per_call_at_the_caller(method):
     with warnings.catch_warnings(record=True) as caught:
