@@ -3,7 +3,7 @@
 Every experiment is registered by name in ``EXPERIMENTS``, and the
 registration frames its AuditReport: ``seed``, ``config`` (enough to
 rerun it bit-for-bit via ``run_experiment``) and ``duration_s``, the
-whole call's wall time and the one field ``reports_equal`` ignores.
+whole call's wall time and the one field AuditReport's ``==`` ignores.
 Replications can be sharded across processes by deriving per-shard
 hash-counter seeds as ``f"{base}:{shard}"``; aggregation is
 order-independent.
@@ -36,7 +36,6 @@ __all__ = [
     "MURDOCH_SCALE",
     "AuditReport",
     "EXPERIMENTS",
-    "reports_equal",
     "murdoch_experiment",
     "permutation_coverage",
     "derangement_test",
@@ -45,7 +44,6 @@ __all__ = [
     "sample_frequency_test",
     "calibration",
     "run_experiment",
-    "replay",
 ]
 
 # The even/odd experiment's range, (2/5) * 2^32.  The integer below is
@@ -83,7 +81,7 @@ class AuditReport:
     p_values: dict = field(default_factory=dict)
     passed: bool | None = None
     flags: list = field(default_factory=list)
-    duration_s: float = 0.0
+    duration_s: float = field(default=0.0, compare=False)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -103,13 +101,6 @@ class AuditReport:
             self.experiment, self.seed, self.replications, self.passed, f"{self.duration_s:.3f}",
             *(json.dumps(getattr(self, column), sort_keys=True) for column in self.CSV_COLUMNS[5:]),
         ]
-
-
-def reports_equal(a: AuditReport, b: AuditReport) -> bool:
-    da, db = asdict(a), asdict(b)
-    da.pop("duration_s")
-    db.pop("duration_s")
-    return da == db
 
 
 EXPERIMENTS: dict = {}
@@ -679,7 +670,3 @@ def run_experiment(config: dict) -> AuditReport:
     elif "m" in args:
         first = (LcgParams(args.pop("m"), args.pop("a"), args.pop("c")),)
     return EXPERIMENTS[name](*first, **args)
-
-
-def replay(report: AuditReport) -> AuditReport:
-    return run_experiment(report.config)

@@ -273,8 +273,7 @@ def table1_report() -> list[Table1Row]:
     return rows
 
 
-def render_table1_text(rows: list[Table1Row] | None = None) -> str:
-    rows = rows if rows is not None else table1_report()
+def render_table1_text(rows: list[Table1Row]) -> str:
     w_feat = max(len(r.feature) for r in rows)
     w_q = max(len(r.quantity) for r in rows)
     w_full = max(len(r.full) for r in rows)

@@ -6,23 +6,23 @@ is byte-for-byte reproducible from that header apart from timing fields.
 
 A warning (an unreachable integer range, a stream shorter than the
 reservoir, fresh entropy) is one ``warning:`` line on stderr.  Exit codes,
-each failure with a one-line ``error:`` on stderr, after any warnings: 0
-success; 2 usage error, including alpha outside (0, 1), zero calibration
-repetitions, flags that would be ignored (``bounds --table1`` with a
-row's flags, two ``bounds`` target forms, two seed flags, ``--a``/``--c``/
-``--m`` without ``--prng lcg``, a seed or LCG flag with ``--scripted``,
-``gen --int-range`` without ``--as integers``), an audit ``--out`` that
-cannot be opened (refused before the audit runs), an exhausted scripted
-source, and a degenerate generator (DegenerateStreamError: a mask or
-duplicate redraw loop hit its limit); 3 infeasible size or out of memory
-(MemoryError), including ``bounds`` values wider than 2**18 bits
-(``--state-bits`` above 262144, ``--target-perm`` above about 20,400,
-C(n,k) above about 78,900 digits), a derangement audit whose exact rate
-D_n / n! is too long to print, and a size above
-``sampling.MAX_POPULATION`` (10**8): n for ``pikk``, ``fisher-yates``, a
-permutation audit, or ``reservoir-r`` and ``vitter-z`` streaming 1..n;
-k for ``random-indices`` and ``cormen``.  ``audit sample-frequency
---algorithm`` takes all six samplers.
+each failure with a one-line ``error:`` on stderr after any warnings (a
+usage error is a plain ValueError): 0 success; 2 usage error, including
+alpha outside (0, 1), zero calibration repetitions, flags that would be
+ignored (``bounds --table1`` with a row's flags, two ``bounds`` target
+forms, two seed flags, ``--a``/``--c``/``--m`` without ``--prng lcg``, a
+seed or LCG flag with ``--scripted``, ``gen --int-range`` without
+``--as integers``), an audit ``--out`` that cannot be opened (refused
+before the audit runs), an exhausted scripted source, and a degenerate
+generator (DegenerateStreamError: a mask or duplicate redraw loop hit its
+limit); 3 infeasible size or out of memory (MemoryError), including
+``bounds`` values wider than 2**18 bits (``--state-bits`` above 262144,
+``--target-perm`` above about 20,400, C(n,k) above about 78,900 digits), a
+derangement audit whose exact rate D_n / n! is too long to print, and a
+size above ``sampling.MAX_POPULATION`` (10**8), refused before any output:
+n for ``pikk``, ``fisher-yates``, a permutation audit, or ``reservoir-r``
+and ``vitter-z`` streaming 1..n; k for ``random-indices`` and
+``cormen``.  ``audit sample-frequency --algorithm`` takes all six samplers.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 parser on the first call and reuses it, so a call pays only for parsing
@@ -64,12 +64,6 @@ SEED_FLAGS = ("seed", "seed_file")
 LCG_FLAGS = ("a", "c", "m")
 
 
-class CliError(Exception):
-    def __init__(self, message, code=USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
-
-
 def _given(args, dests) -> list[str]:
     """The flags among ``dests`` that the command line set."""
     return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
@@ -81,7 +75,7 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
     the point (plain generation), and prints a warning."""
     given = _given(args, SEED_FLAGS)
     if len(given) > 1:
-        raise CliError(f"pass one seed flag, not {' and '.join(given)}")
+        raise ValueError(f"pass one seed flag, not {' and '.join(given)}")
     if args.seed_file is not None:
         return str(load_seed(args.seed_file))
     for seed in (args.seed, os.environ.get(SEED_ENV)):
@@ -95,7 +89,7 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
             file=sys.stderr,
         )
         return seed
-    raise CliError(f"a seed is required: pass --seed or --seed-file or set {SEED_ENV}")
+    raise ValueError(f"a seed is required: pass --seed or --seed-file or set {SEED_ENV}")
 
 
 def _build_generator(args, allow_entropy: bool):
@@ -105,10 +99,10 @@ def _build_generator(args, allow_entropy: bool):
     fields = {}
     if variant == "lcg":
         if args.m is None or args.a is None or args.c is None:
-            raise CliError("--prng lcg requires --a, --c and --m")
+            raise ValueError("--prng lcg requires --a, --c and --m")
         fields = {"m": args.m, "a": args.a, "c": args.c}
     elif given := _given(args, LCG_FLAGS):
-        raise CliError(f"--prng {args.prng} takes no {' or '.join(given)}")
+        raise ValueError(f"--prng {args.prng} takes no {' or '.join(given)}")
     seed_text = _resolve_seed(args, allow_entropy)
     return seed_generator(variant, seed_text, **fields), seed_text
 
@@ -118,7 +112,7 @@ def _generator_and_seed(args, allow_entropy: bool):
     seed text the header records."""
     if args.scripted:
         if given := _given(args, SEED_FLAGS + LCG_FLAGS):
-            raise CliError(f"--scripted takes no {' or '.join(given)}")
+            raise ValueError(f"--scripted takes no {' or '.join(given)}")
         return load_scripted(args.scripted), f"scripted:{args.scripted}"
     return _build_generator(args, allow_entropy)
 
@@ -140,14 +134,14 @@ def _emit_csv(fh, rows) -> None:
 def _cmd_gen(args) -> int:
     # checked before the seed is resolved, so a bad input prints no header
     if args.count < 0:
-        raise CliError("--count must be >= 0")
+        raise ValueError("--count must be >= 0")
     if args.emit == "integers":
         if args.int_range is None:
-            raise CliError("--as integers requires --int-range")
+            raise ValueError("--as integers requires --int-range")
         if args.int_range < 1:
-            raise CliError("--int-range must be >= 1")
+            raise ValueError("--int-range must be >= 1")
     elif args.int_range is not None:
-        raise CliError(f"--int-range is for --as integers only, not --as {args.emit}")
+        raise ValueError(f"--int-range is for --as integers only, not --as {args.emit}")
     gen, seed_text = _generator_and_seed(args, allow_entropy=True)
 
     config = {
@@ -180,12 +174,12 @@ def _cmd_sample(args) -> int:
     streaming = algo_tag in STREAMING_ALGORITHMS
     if args.file is not None:
         if not streaming:
-            raise CliError(f"--file is for the streaming algorithms only, not --algo {args.algo}")
+            raise ValueError(f"--file is for the streaming algorithms only, not --algo {args.algo}")
         if args.n is not None:
-            raise CliError("--file and --n exclude each other: the stream is the population")
+            raise ValueError("--file and --n exclude each other: the stream is the population")
     elif args.n is None:
         hint = " or --file (use - for stdin)" if streaming else ""
-        raise CliError(f"--algo {args.algo} needs --n{hint}")
+        raise ValueError(f"--algo {args.algo} needs --n{hint}")
 
     gen, seed_text = _generator_and_seed(args, allow_entropy=False)
     source = RandomSource(gen, method=args.method)
@@ -236,7 +230,7 @@ def _cmd_bounds(args) -> int:
     forms = [flag for flag, given in targets.items() if given]
     if args.table1:
         if forms or args.state_bits is not None:
-            raise CliError("--table1 takes no --state-bits or target flags")
+            raise ValueError("--table1 takes no --state-bits or target flags")
         rows = bounds_mod.table1_report()
         if args.format == "csv":
             header = ("feature", "quantity", "full", "scientific")
@@ -248,9 +242,9 @@ def _cmd_bounds(args) -> int:
         return 0
 
     if args.state_bits is None:
-        raise CliError("pass --table1 or --state-bits with a target")
+        raise ValueError("pass --table1 or --state-bits with a target")
     if len(forms) > 1:
-        raise CliError(f"pass one target, not {' and '.join(forms)}")
+        raise ValueError(f"pass one target, not {' and '.join(forms)}")
     if args.target is not None:
         target = args.target
         label = str(args.target)
@@ -261,7 +255,7 @@ def _cmd_bounds(args) -> int:
         target = bounds_mod.binomial(args.target_n, args.target_k)
         label = f"C({args.target_n},{args.target_k})"
     else:
-        raise CliError("pass --target, --target-perm, or --target-n with --target-k")
+        raise ValueError("pass --target, --target-perm, or --target-n with --target-k")
     rep = bounds_mod.attainable_fraction(args.state_bits, target)
     payload = {
         "state_bits": rep.state_bits,
@@ -448,9 +442,6 @@ def main(argv=None) -> int:
         warnings.showwarning = _warn_one_line
         try:
             return args.fn(args)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.code
         except (InfeasibleSizeError, MemoryError) as exc:
             print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return INFEASIBLE

@@ -512,10 +512,6 @@ def _int_seed(seed):
         raise ValueError(f"this generator needs an integer seed, got {seed!r}") from None
 
 
-def _lcg(seed, m=None, a=None, c=None, params: LcgParams | None = None) -> LcgGenerator:
-    return LcgGenerator(params or LcgParams(m=m, a=a, c=c), _int_seed(seed))
-
-
 def _hash_counter(seed, width: int = 32, hash: str = "sha256") -> HashCounterGenerator:
     # a text seed is in Seed.human form, as spec() records it
     return HashCounterGenerator(Seed.parse(seed) if isinstance(seed, str) else seed, width, hash)
@@ -524,7 +520,7 @@ def _hash_counter(seed, width: int = 32, hash: str = "sha256") -> HashCounterGen
 # variant -> build(seed, **fields), where fields are the rest of the
 # variant's spec() record; integer seeds may also be given as text
 VARIANTS = {
-    "lcg": _lcg,
+    "lcg": lambda seed, m, a, c: LcgGenerator(LcgParams(m, a, c), _int_seed(seed)),
     "wichmann_hill": lambda seed: WichmannHillGenerator(_int_seed(seed)),
     "mt19937": lambda seed: Mt19937Generator(_int_seed(seed)),
     "hash_counter": _hash_counter,
@@ -537,8 +533,8 @@ def seed_generator(variant: str, seed, **fields) -> Generator:
 
     variant: one of lcg | wichmann_hill | mt19937 | hash_counter | scripted.
     The keywords are the fields of the variant's spec() record: LCGs take
-    m=, a=, c= (or params=LcgParams(...)), hash counters width= and hash=,
-    scripted sources script=, width= and cycles= (and ignore the seed).
+    m=, a= and c=, hash counters width= and hash=, scripted sources
+    script=, width= and cycles= (and ignore the seed).
     """
     try:
         build = VARIANTS[variant]

@@ -169,6 +169,8 @@ def _distinct_draws(n, k, draw_dist):
     and each accepted value v after the distinct prefix 'seen' carries
     weight p(v) / (1 - p(seen))."""
     base = _draw_model(draw_dist, n)
+    if sum(1 for p in base.values() if p) < k:
+        raise ValueError(f"draw_dist({n}) puts positive mass on fewer than k = {k} values")
 
     def branch(m, ints, fracs):
         if m != n:

@@ -397,7 +397,9 @@ class SampleSpec:
     arrives as a stream of unknown length.  Replacement is supported only
     by random_indices.  fisher_yates here means shuffle-and-keep-the-
     first-k (use the fisher_yates function directly for the raw
-    permutation).
+    permutation).  A size above MAX_POPULATION is refused when the spec
+    is built: k for random_indices and cormen, else n, even where a
+    streaming spec is later run on a stream.
     """
 
     n: int | None
@@ -421,6 +423,10 @@ class SampleSpec:
                 raise ValueError("population size n must be >= 1")
             if not self.with_replacement and self.k > self.n:
                 raise ValueError("k > n without replacement")
+            if self.algorithm in ("random_indices", "cormen"):
+                _check_population(self.k, "sample size k")
+            else:
+                _check_population(self.n)
 
     def run(self, source, stream=None) -> Sample:
         """Draw one sample.  Streaming algorithms take items from
@@ -429,6 +435,5 @@ class SampleSpec:
         if stream is None and self.algorithm in STREAMING_ALGORITHMS:
             if self.n is None:
                 raise ValueError("streaming algorithms need a stream or n")
-            _check_population(self.n)
             stream = range(1, self.n + 1)
         return ALGORITHMS[self.algorithm](self, source, stream)

@@ -173,7 +173,7 @@ def test_c9_reproducibility():
         audit.calibration("c9:battery", repetitions=2),
     ]
     mismatches = [
-        r.experiment for r in reports if not audit.reports_equal(r, audit.replay(r))
+        r.experiment for r in reports if r != audit.run_experiment(r.config)
     ]
     _report(
         "C9 reproducibility",

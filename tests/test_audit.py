@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import json
@@ -18,8 +19,7 @@ from randaudit.audit import (
     derangement_test,
     murdoch_experiment,
     permutation_coverage,
-    replay,
-    reports_equal,
+    run_experiment,
     sample_frequency_test,
     spearman_rho,
     spearman_test,
@@ -269,14 +269,14 @@ class TestReproducibility:
     )
     def test_replay_reproduces_statistics(self, make):
         first = make()
-        again = replay(first)
-        assert reports_equal(first, again)
+        again = run_experiment(first.config)
+        assert first == again
         assert first.duration_s != again.duration_s or True  # timing excluded
 
     def test_json_roundtrip(self):
         r = permutation_coverage(LcgParams(m=128, a=5, c=1), 4)
         back = AuditReport.from_json(r.to_json())
-        assert reports_equal(r, back)
+        assert back == r
 
     def test_csv_row_shape(self):
         r = permutation_coverage(LcgParams(m=128, a=5, c=1), 4)
@@ -303,6 +303,25 @@ def small_call(name):
     make, args = SMALL_RUNS[name]
     gen = make() if make else None
     return gen, (gen, *args) if gen else args
+
+
+# every AuditReport field, each with a value
+REPORT_FIELDS = dict(
+    replications=3, observed={"x": 1}, reference={"x": 2}, seed="s", experiment="e", config={"a": 1},
+    statistics={"z": 0.5}, p_values={"p": 0.25}, passed=True, flags=["f"], duration_s=1.5,
+)
+
+
+class TestReportEquality:
+    def test_reports_that_differ_only_in_duration_are_equal(self):
+        assert AuditReport(**dict(REPORT_FIELDS, duration_s=9.0)) == AuditReport(**REPORT_FIELDS)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(AuditReport) if f.name != "duration_s"]
+    )
+    def test_every_other_field_takes_part(self, name):
+        # object() equals nothing but itself
+        assert AuditReport(**dict(REPORT_FIELDS, **{name: object()})) != AuditReport(**REPORT_FIELDS)
 
 
 class TestReportFrame:

@@ -511,7 +511,7 @@ class TestDeterminismAndCloning:
             assert rebuilt.words(3) == g.words(3)
 
     def test_seed_generator_factory(self):
-        g = seed_generator("lcg", 1, params=RANDU)
+        g = seed_generator("lcg", 1, m=RANDU.m, a=RANDU.a, c=RANDU.c)
         assert g.words(1)[0] == 65539
         g = seed_generator("mt19937", 5489)
         assert g.words(1)[0] == 3499211612

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randaudit import integers
 from randaudit.errors import InfeasibleSizeError, UnreachableValuesWarning
 from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import (
@@ -92,7 +93,7 @@ class TestFloor:
 
     def test_unreachable_values_flagged(self):
         g = ScriptedGenerator([5], width=3)
-        with pytest.warns(UnreachableValuesWarning):
+        with pytest.warns(UnreachableValuesWarning, match=r"^m=100 exceeds the word range 2\*\*3; at least 92 values"):
             randint_floor(g, 100)
 
     def test_draw_consumes_one_word(self):
@@ -203,6 +204,14 @@ class TestExactDistributionContract:
                 exact_distribution(method, MAX_EXACT_WIDTH + 1, 10)
             # three values at the cap: three walk steps over 2**24 words
             assert list(exact_distribution(method, MAX_EXACT_WIDTH, 3).probs) == [1, 2, 3]
+
+    def test_mask_m_limit_is_inclusive(self, monkeypatch):
+        # m = 2**24 itself would build 16.8 million entries; the rule is
+        # the same at a smaller cap
+        monkeypatch.setattr(integers, "MAX_EXACT_WIDTH", 4)
+        assert exact_distribution("mask", 4, 16).probs == dict.fromkeys(range(1, 17), Fraction(1, 16))
+        with pytest.raises(InfeasibleSizeError, match=r"at most 2\*\*4"):
+            exact_distribution("mask", 4, 17)
 
     def test_probabilities_sum_to_one_even_when_m_exceeds_range(self):
         for method in ("floor", "round"):

@@ -234,9 +234,10 @@ def test_sequences_match_the_scalar_oracle(name, method, skip, calls):
 @pytest.mark.parametrize("method", METHODS)
 def test_one_sequence_object_drawn_at_two_widths(method):
     # a mask plan is kept per width: on the tile, and in the cache of short
-    # ranges; a plain tuple gets a new plan at every call
+    # ranges; a plain tuple gets a new plan at every call, and so does a
+    # range of another step, which has no runs of one shift
     ranges = (2, 3, 5, 300, 1, 17, 256, 257, 9)
-    for drawn in (ranges, RangeTile(ranges), range(70, 1, -1), range(2, 20)):
+    for drawn in (ranges, RangeTile(ranges), range(70, 1, -1), range(2, 20), range(3, 40, 2), range(301, 1, -2)):
         for name in ("hash_counter/8", "hash_counter/16", "hash_counter/8"):
             gen = GENERATORS[name]()
             ref = gen.clone()

@@ -222,6 +222,24 @@ def test_a_bad_draw_model_is_refused_before_any_replay(model):
 
 
 @pytest.mark.parametrize(
+    "n, k, model",
+    [
+        (3, 2, {1: Fraction(1), 2: Fraction(0), 3: Fraction(0)}),
+        (3, 3, {1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(0)}),
+    ],
+    ids=["one_value_k2", "two_values_k3"],
+)
+def test_too_few_positive_draw_values_are_refused_before_any_replay(monkeypatch, n, k, model):
+    # drawing until k values are distinct could never finish
+    def no_replay(ints, fracs):
+        raise AssertionError("replayed a path")
+
+    monkeypatch.setattr(pathenum, "_Replay", no_replay)
+    with pytest.raises(ValueError, match=f"draw_dist\\({n}\\) puts positive mass on fewer than k = {k} values"):
+        exact_subset_distribution("random_indices", n, k, draw_dist=lambda m: model)
+
+
+@pytest.mark.parametrize(
     "enumerate_case, replays",
     [
         (lambda: exact_permutation_distribution(6), math.factorial(6) + 1),

@@ -64,6 +64,7 @@ REFUSED = {
         lambda: exact_distribution("mask", 8, 2 ** MAX_EXACT_WIDTH + 1),
     ),
     "floor_sum n < 0": (ValueError, "floor_sum requires", lambda: floor_sum(-1, 1, 1, 1)),
+    "floor_sum m = 0": (ValueError, "floor_sum requires", lambda: floor_sum(1, 0, 1, 1)),
     "exact_subset_distribution k = 0": (ValueError, "1 <= k <= n", lambda: exact_subset_distribution("cormen", 3, 0)),
     # generators and seeds
     "Seed of a str": (TypeError, "must be bytes", lambda: Seed("x")),

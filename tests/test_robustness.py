@@ -168,7 +168,8 @@ def test_population_no_list_can_hold_exits_3(argv):
     # MemoryError
     proc = run_cli(*argv, max_bytes=800 * 2 ** 20)
     assert_one_line_error(proc, 3)
-    assert f"limit of {MAX_POPULATION:,}" in proc.stderr
+    # refused before the header, like every other refusal
+    assert f"limit of {MAX_POPULATION:,}" in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -277,7 +278,7 @@ def test_sample_frequency_audits_every_sampler(algorithm):
     )
     assert report.config["algorithm"] == algorithm
     assert report.p_values["chi2_uniform"] > 0.001
-    assert audit.reports_equal(report, audit.replay(report))
+    assert report == audit.run_experiment(report.config)
 
 
 def test_sample_frequency_counts_match_samplespec():
