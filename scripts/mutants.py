@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation testing: which one-site changes to a module do the tests miss?
 
-    python3 scripts/mutants.py src/randaudit/integers.py --tests integers --jobs 2 --timeout 120
+    python3 scripts/mutants.py src/randaudit/integers.py --tests integers --timeout 120
 
 The mutator makes one mutant per site in every function and method of the
 module (module- and class-level code is left alone): each comparison
@@ -11,15 +11,16 @@ too), each integer constant plus 1, and each ``and`` and ``or`` swapped.
 Annotations are never mutated.
 
 Each mutant is the whole module unparsed from its syntax tree, written
-into a copy of the checkout (without .git and caches) of its own under
-``--workdir`` (a new temporary directory by default, removed afterwards),
-which must lie outside the checkout; so tests that run the CLI or a
-script in a subprocess run the mutant too.  The named test set then runs
-in that copy with ``pytest -x`` and PYTHONPATH set to its src,
-``--jobs`` mutants at a time, and each copy is removed after its run.  A
-run still going after ``--timeout`` seconds is killed and counted apart,
-as killed: the test suite's own hang limit would fail it.  The unmutated
-checkout must pass the same tests first, or the script exits 2.
+into a copy of the checkout (without .git and caches) of its own in a new
+temporary directory (``tempfile.mkdtemp``, so TMPDIR decides where; it is
+removed afterwards); so tests that run the CLI or a script in a subprocess
+run the mutant too.  The named test set then runs in that copy with
+``pytest -x`` and PYTHONPATH set to its src, one mutant per CPU at a time,
+and each copy is removed after its run.  A run still going after
+``--timeout`` seconds is killed with its process group and counted apart,
+as killed: the test suite's own hang limit would fail it.  An interrupt
+(Ctrl-C) kills every running test run before the copies are removed.  The
+unmutated checkout must pass the same tests first, or the script exits 2.
 
 A surviving mutant whose (function, "original -> mutated" source text) key
 is in EQUIVALENT, with the reason it cannot change what the module
@@ -38,7 +39,7 @@ import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,7 +68,8 @@ BINOP_SWAPS = {
 BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
 # module stem -> {(function, "original -> mutated"): why the survivor is
-# equivalent}.  A key names every site of that function with that text.
+# equivalent}.  A key names every site of that function with that text,
+# so tests/test_mutants.py checks that each names exactly one.
 # In integers.py the mask kernel's fast branch (shift >= 0) and its slow
 # branch (the sentinel shift -1) read and reject the same words, so moving
 # an m from one to the other, or cutting a plan into other runs, changes
@@ -189,67 +191,86 @@ def _walk_functions(tree):
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
 
 
-def run_tests(checkout: Path, tests, timeout: float) -> str:
-    """The outcome of ``pytest -x`` over ``tests`` in a checkout copy,
-    importing its src: survived, killed (a collection error kills too) or
-    timeout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+JOBS = os.cpu_count() or 1  # test runs at a time
+
+
+def run_tests(sources, relative: Path, tests, timeout: float, workdir: Path) -> list[str]:
+    """The outcome of ``pytest -x`` over ``tests`` for each source of the
+    module at ``relative`` (None: left as it is), each in its own copy of
+    the checkout under ``workdir`` importing its src, JOBS at a time:
+    survived, killed (a collection error kills too) or timeout."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    proc = subprocess.Popen(
-        cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
-    )
+    outcomes = [""] * len(sources)
+    waiting = list(enumerate(sources))[::-1]
+    running = {}  # Popen -> (index, its copy, deadline)
     try:
-        code = proc.wait(timeout)
-    except subprocess.TimeoutExpired:
+        while waiting or running:
+            while waiting and len(running) < JOBS:
+                i, source = waiting.pop()
+                checkout = workdir / f"m{i:04d}"
+                shutil.copytree(ROOT, checkout, ignore=_NOT_COPIED)
+                if source is not None:
+                    (checkout / relative).write_text(source, encoding="utf-8")
+                env["PYTHONPATH"] = str(checkout / "src")
+                proc = subprocess.Popen(
+                    cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                    start_new_session=True,
+                )
+                running[proc] = i, checkout, time.monotonic() + timeout
+            time.sleep(0.2)
+            for proc, (i, checkout, deadline) in list(running.items()):
+                code = proc.poll()
+                if code is None and time.monotonic() < deadline:
+                    continue
+                if code is None:
+                    _kill(proc)
+                    outcomes[i] = "timeout"
+                else:
+                    outcomes[i] = {0: "survived", 1: "killed", 2: "killed"}.get(code, f"error (pytest exit {code})")
+                del running[proc]
+                shutil.rmtree(checkout)
+    finally:
+        for proc in running:
+            _kill(proc)
+    return outcomes
+
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill a test run and every process its tests started (its process group)."""
+    try:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        return "timeout"
-    return {0: "survived", 1: "killed", 2: "killed"}.get(code, f"error (pytest exit {code})")
+    except ProcessLookupError:
+        pass
+    proc.wait()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module under src/, e.g. src/randaudit/integers.py")
     parser.add_argument("--tests", choices=tuple(TEST_SETS), default="integers", help="the named test set")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants tested at a time")
     parser.add_argument("--timeout", type=float, default=120, help="seconds per mutant's test run")
-    parser.add_argument("--workdir", help="where the copies go (default: a new temporary directory)")
     args = parser.parse_args(argv)
 
     module = Path(args.module).resolve()
     if ROOT / "src" not in module.parents:
         parser.error(f"{args.module} is not under {ROOT / 'src'}")
-    if args.jobs < 1 or args.timeout <= 0:
-        parser.error("--jobs must be >= 1 and --timeout > 0")
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="mutants-")).resolve()
-    if workdir == ROOT or ROOT in workdir.parents:
-        parser.error("--workdir must lie outside the checkout")
-    workdir.mkdir(parents=True, exist_ok=True)
+    if args.timeout <= 0:
+        parser.error("--timeout must be > 0")
     relative = module.relative_to(ROOT)
     tests = TEST_SETS[args.tests]
     equivalent = EQUIVALENT.get(module.stem, {})
     found = mutants(module.read_text(encoding="utf-8"))
 
-    def test_copy(name: str, source: str | None) -> str:
-        checkout = workdir / name
-        shutil.copytree(ROOT, checkout, ignore=_NOT_COPIED)
-        if source is not None:
-            (checkout / relative).write_text(source, encoding="utf-8")
-        try:
-            return run_tests(checkout, tests, args.timeout)
-        finally:
-            shutil.rmtree(checkout)
-
+    workdir = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
-        baseline = test_copy("unmutated", None)
+        [baseline] = run_tests([None], relative, tests, args.timeout, workdir)
         if baseline != "survived":
             print(f"the unmutated package does not pass --tests {args.tests}: {baseline}", file=sys.stderr)
             return 2
-        with ThreadPoolExecutor(args.jobs) as pool:
-            outcomes = list(pool.map(test_copy, (f"m{i:04d}" for i in range(len(found))), (m.source for m in found)))
+        outcomes = run_tests([m.source for m in found], relative, tests, args.timeout, workdir)
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
     survivors = [m for m, outcome in zip(found, outcomes) if outcome == "survived"]
     unlisted = [m for m in survivors if m.key not in equivalent]

@@ -1,8 +1,13 @@
-"""scripts/mutants.py's mutator, on a toy function, and its list of
-equivalent mutants against the current source; no mutant is tested."""
+"""scripts/mutants.py's mutator, on a toy function, its list of
+equivalent mutants against the current source, and how it ends a test
+run that hangs; no mutant is tested."""
 
+import collections
 import importlib.util
+import signal
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,14 +68,36 @@ def test_each_mutant_changes_only_its_site():
 @pytest.mark.parametrize("stem", sorted(mutants.EQUIVALENT))
 def test_every_listed_equivalent_names_a_current_site(stem):
     source = (ROOT / "src" / "randaudit" / f"{stem}.py").read_text(encoding="utf-8")
-    keys = {m.key for m in mutants.mutants(source)}
+    sites = collections.Counter(m.key for m in mutants.mutants(source))
     listed = mutants.EQUIVALENT[stem]
-    assert [key for key in listed if key not in keys] == []
+    # a key that named two sites would hide a survivor at the second
+    assert {key: sites[key] for key in listed if sites[key] != 1} == {}
     assert all(reason.strip() for reason in listed.values())
 
 
-def test_workdir_inside_the_checkout_is_refused(capsys):
-    with pytest.raises(SystemExit) as exc:
-        mutants.main([str(ROOT / "src" / "randaudit" / "integers.py"), "--workdir", str(ROOT / "mutant-copies")])
-    assert exc.value.code == 2
-    assert "outside the checkout" in capsys.readouterr().err
+HANG = "import time\n\n\ndef test_hang():\n    time.sleep(600)\n"
+MODULE = Path("src/randaudit/integers.py")
+
+
+def test_a_run_past_its_timeout_is_killed(tmp_path):
+    (tmp_path / "test_hang.py").write_text(HANG)
+    started = time.monotonic()
+    assert mutants.run_tests([None], MODULE, [str(tmp_path / "test_hang.py")], 0.5, tmp_path) == ["timeout"]
+    assert time.monotonic() - started < 60
+    assert [path.name for path in tmp_path.iterdir()] == ["test_hang.py"]
+
+
+def test_an_interrupt_kills_every_running_test_run(tmp_path, monkeypatch):
+    (tmp_path / "test_hang.py").write_text(HANG)
+    started = []
+    popen = mutants.subprocess.Popen
+    monkeypatch.setattr(mutants.subprocess, "Popen", lambda *a, **kw: started.append(popen(*a, **kw)) or started[-1])
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mutants, "time", SimpleNamespace(monotonic=time.monotonic, sleep=interrupt))
+    with pytest.raises(KeyboardInterrupt):
+        mutants.run_tests([None, None], MODULE, [str(tmp_path / "test_hang.py")], 600, tmp_path)
+    assert len(started) == min(2, mutants.JOBS)
+    assert [proc.returncode for proc in started] == [-signal.SIGKILL] * len(started)
