@@ -55,6 +55,11 @@ TEST_SETS = {
         "tests/test_pathenum.py",
         "tests/test_refusals.py",
     ),
+    "pathenum": (
+        "tests/test_pathenum.py",
+        "tests/test_stream_contract.py",
+        "tests/test_refusals.py",
+    ),
 }
 
 COMPARE_FLIPS = {
@@ -99,6 +104,14 @@ EQUIVALENT: dict[str, dict[tuple[str, str], str]] = {
         ("_mask_kernel", "shift >= 0 -> shift >= 1"): "m in (2**(w-1), 2**w], shift 0: " + _SAME_STREAM,
         ("_mask_kernel", "m > 1 -> m > 2"): "m = 2 has shift w - 1 >= 0, so it never reaches the slow branch",
         ("floor_sum", "y_max < m -> y_max <= m"): "at y_max == m every a*i + b with i < n is below m, so the rest adds 0",
+    },
+    # pikk's output depends only on the order of its keys, and any v in the
+    # tail cell (0, q) walks vitter_z off the end of the stream
+    "pathenum": {
+        ("_pikk_subsets", "r + 1 -> r - 1"): "the rank fractions stay distinct and increasing",
+        ("_pikk_subsets", "r + 1 -> r + 2"): "the rank fractions stay distinct and increasing",
+        ("_pikk_subsets", "n + 2 -> n + 3"): "the rank fractions stay distinct and increasing",
+        ("_skip_cells", "q_prev / 2 -> q_prev / 3"): "q/3 lies inside the tail cell (0, q) as q/2 does",
     },
 }
 

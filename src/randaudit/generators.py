@@ -15,6 +15,7 @@ import copy
 import hashlib
 import math
 import random
+import re
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -503,13 +504,13 @@ class ScriptedGenerator(Generator):
 # Construction helpers
 
 def _int_seed(seed):
-    """An integer seed, read from text (decimal or 0x-prefixed) when it is one."""
+    """An integer seed, read from text when it is one: decimal digits, or 0x
+    and hex digits.  The one rule for seed text, --seed and seed files alike."""
     if not isinstance(seed, str):
         return seed
-    try:
-        return int(seed, 0)
-    except ValueError:
-        raise ValueError(f"this generator needs an integer seed, got {seed!r}") from None
+    if not re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", seed):
+        raise ValueError(f"an integer seed is decimal digits or 0x and hex digits, got {seed!r}")
+    return int(seed, 16 if seed[1:2] in ("x", "X") else 10)
 
 
 def _hash_counter(seed, width: int = 32, hash: str = "sha256") -> HashCounterGenerator:
@@ -566,7 +567,7 @@ def load_scripted(path) -> ScriptedGenerator:
 
 
 def load_seed(path) -> int:
-    """Read a seed file: one hex (0x-prefixed) or decimal line; lines
+    """Read a seed file: one line of seed text as _int_seed reads it; lines
     starting with ``#`` are comments."""
     payload = None
     with open(path, encoding="utf-8") as fh:
@@ -580,4 +581,4 @@ def load_seed(path) -> int:
         payload = ln
     if payload is None:
         raise ValueError("seed file contains no value")
-    return int(payload, 16) if payload.lower().startswith("0x") else int(payload, 10)
+    return _int_seed(payload)

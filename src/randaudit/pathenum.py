@@ -10,8 +10,11 @@ When the replay runs out inside a call, the call has already named
 every range it wants, so the search branches over those pending ranges
 one draw at a time without running the algorithm again.  The algorithm
 is replayed once per complete path, and once more wherever a path ends
-just before a new call.  Each path carries its mass as an unreduced
-integer pair, and the rationals are formed once per outcome at the end.
+just before a new call.  The branch rules give each draw's mass as an
+integer pair, each path carries its mass as an unreduced integer pair,
+and the rationals are formed once per outcome at the end.  An
+enumeration whose closed-form count of complete paths is above MAX_PATHS
+is refused before any replay.
 
 Where an algorithm consumes a uniform integer on {1..m}, the branch is
 over the m values with probability 1/m each: for mask-reject on IID
@@ -27,7 +30,7 @@ than raw draws:
 * pikk sorts fractions, so its output depends only on their relative
   order; for IID continuous uniforms every rank order has probability
   exactly 1/n! and ties have probability zero.  The harness runs the real
-  pikk once per rank order.
+  pikk once per rank order, DRAW_CHUNK orders to a scripted source.
 * vitter_z turns one fraction v into a skip length: skip = s exactly when
   v lies in [q(s), q(s-1)), where q(s) is a product of rationals.  The
   harness computes those cell boundaries exactly, branches over the cells
@@ -54,7 +57,8 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .integers import check_masses
+from .errors import InfeasibleSizeError
+from .integers import DRAW_CHUNK, check_masses
 # perfbench/spans.py wraps the six samplers by their names in this module
 from .sampling import (  # noqa: F401
     ALGORITHMS,
@@ -69,6 +73,7 @@ from .sampling import (  # noqa: F401
 )
 
 __all__ = [
+    "MAX_PATHS",
     "exact_subset_distribution",
     "exact_permutation_distribution",
     "uniform_subset_reference",
@@ -104,12 +109,13 @@ def _enumerate(run, branch):
     A path is two tuples in the order drawn: integer entries (value, m)
     and fraction entries (v, t), where t is whatever state the branch rule
     keeps for the next fraction.  ``branch(m, ints, fracs)`` lists the
-    (entry, probability) pairs that extend the path at its next draw (m as
-    in _NeedDraw).  A stack entry holds a path, the ranges its call still
-    wants and the path mass as an integer pair num/den; an entry with
-    ranges pending branches on the next one directly, and only an entry
-    with none pending is replayed.  Returns {outcome: Fraction} in order
-    of first appearance; the masses sum to exactly 1.
+    (entry, num, den) triples that extend the path at its next draw (m as
+    in _NeedDraw), each with the positive probability num/den.  A stack
+    entry holds a path, the ranges its call still wants and the path mass
+    as an integer pair num/den; an entry with ranges pending branches on
+    the next one directly, and only an entry with none pending is
+    replayed.  Returns {outcome: Fraction} in order of first appearance;
+    the masses sum to exactly 1.
     """
     sums: dict = defaultdict(int)
     stack = [((), (), (), 1, 1)]
@@ -127,10 +133,10 @@ def _enumerate(run, branch):
                 sums[outcome, den] += num
                 continue
         m, rest = pending[0], pending[1:]
-        for entry, p in branch(m, ints, fracs):
-            if p:
-                path = (ints, fracs + (entry,)) if m is None else (ints + (entry,), fracs)
-                stack.append((*path, rest, num * p.numerator, den * p.denominator))
+        if m is None:
+            stack += [(ints, fracs + (e,), rest, num * a, den * b) for e, a, b in branch(m, ints, fracs)]
+        else:
+            stack += [(ints + (e,), fracs, rest, num * a, den * b) for e, a, b in branch(m, ints, fracs)]
     results: dict = {}
     for (outcome, den), num in sums.items():
         results[outcome] = results.get(outcome, 0) + Fraction(num, den)
@@ -154,12 +160,12 @@ def _draw_model(draw_dist, m: int) -> dict[int, Fraction]:
 
 
 def _int_draws(n, k, draw_dist):
-    """Every integer draw on {1..m} branches over draw_dist(m), listed once
-    per m."""
+    """Every integer draw on {1..m} branches over the values of positive
+    mass under draw_dist(m), listed once per m."""
 
     @functools.cache
     def entries(m):
-        return [((v, m), p) for v, p in _draw_model(draw_dist, m).items()]
+        return [((v, m), p.numerator, p.denominator) for v, p in _draw_model(draw_dist, m).items() if p]
 
     return lambda m, ints, fracs: entries(m)
 
@@ -167,17 +173,20 @@ def _int_draws(n, k, draw_dist):
 def _distinct_draws(n, k, draw_dist):
     """Draw-until-distinct on {1..n}, collapsed: paths are duplicate-free
     and each accepted value v after the distinct prefix 'seen' carries
-    weight p(v) / (1 - p(seen))."""
+    weight p(v) / (1 - p(seen)), as integers a(v) / (d - a(seen)) over the
+    masses' least common denominator d."""
     base = _draw_model(draw_dist, n)
-    if sum(1 for p in base.values() if p) < k:
+    d = math.lcm(*(p.denominator for p in base.values()))
+    weights = {v: p.numerator * (d // p.denominator) for v, p in base.items() if p}
+    if len(weights) < k:
         raise ValueError(f"draw_dist({n}) puts positive mass on fewer than k = {k} values")
 
     def branch(m, ints, fracs):
         if m != n:
             raise AssertionError("collapsed enumeration expects draws on {1..n}")
         seen = {v for v, _ in ints}
-        denom = 1 - sum(base[s] for s in seen)
-        return [((v, n), p / denom) for v, p in base.items() if v not in seen and p]
+        rest = d - sum(weights[s] for s in seen)
+        return [((v, n), a, rest) for v, a in weights.items() if v not in seen]
 
     return branch
 
@@ -195,22 +204,27 @@ def _skip_cells(k: int, t: int, remaining: int):
         yield s, q_prev - q, float((q + q_prev) / 2)
         q_prev = q
         q *= Fraction(t + s + 2 - k, t + s + 2)
-    if q_prev > 0:
-        yield remaining, q_prev, float(q_prev / 2)  # tail: stream exhausts
+    yield remaining, q_prev, float(q_prev / 2)  # tail: stream exhausts
 
 
 def _skips_and_slots(n, k, draw_dist):
     """vitter_z: a fraction branches over the exact skip cells, and its
     entry (v, t) records t, the records seen once the skip's record is
-    kept; a slot draw is uniform on {1..k}."""
+    kept; a slot draw is uniform on {1..k}.  Both lists are built once,
+    the cells once per t."""
+
+    @functools.cache
+    def skips(t):
+        return [((v, t + s + 1), p.numerator, p.denominator) for s, p, v in _skip_cells(k, t, n - t) if p]
+
+    slots = [((v, k), 1, k) for v in range(1, k + 1)]
 
     def branch(m, ints, fracs):
         if m is None:
-            t = fracs[-1][1] if fracs else k
-            return [((v, t + s + 1), p) for s, p, v in _skip_cells(k, t, n - t)]
+            return skips(fracs[-1][1] if fracs else k)
         if m != k:
             raise AssertionError("vitter slot draw should be on {1..k}")
-        return [((v, k), Fraction(1, k)) for v in range(1, k + 1)]
+        return slots
 
     return branch
 
@@ -219,20 +233,48 @@ def _skips_and_slots(n, k, draw_dist):
 _BRANCH_RULES = {"random_indices": _distinct_draws, "vitter_z": _skips_and_slots}
 
 
-def _pikk_subsets(spec: SampleSpec):
-    n = spec.n
+def _pikk_subsets(n: int, k: int):
     counts: dict = defaultdict(int)
     # pikk's output depends only on the rank order of its n keys.  The n
     # rank fractions are distinct, so each arrangement of them gives the
     # items one rank order, and the n! arrangements give every order once.
+    # Each source scripts the keys of DRAW_CHUNK orders, one pikk per order.
     ranks = [(r + 1) / (n + 2) for r in range(n)]
-    for fracs in itertools.permutations(ranks):
-        counts[spec.run(ScriptedSource(fractions=fracs)).as_set()] += 1
+    orders = itertools.permutations(ranks)
+    while chunk := list(itertools.islice(orders, DRAW_CHUNK)):
+        src = ScriptedSource(fractions=itertools.chain.from_iterable(chunk))
+        for _ in chunk:
+            counts[pikk(src, n, k).as_set()] += 1
+        if not src.fully_consumed():
+            raise AssertionError("pikk left scripted keys unused")
     total = math.factorial(n)
     return {subset: Fraction(count, total) for subset, count in counts.items()}
 
 
 ENUMERABLE_ALGORITHMS = tuple(ALGORITHMS)
+
+# The most complete draw paths an enumeration may have
+MAX_PATHS = 10 ** 6
+
+# algorithm -> (n, k) -> the factors whose product is its count of
+# complete draw paths: n! orders or shuffles, n!/(n-k)! draw sequences,
+# n!/k! reservoir draws, and k + 1 skip cells for each of n - k records
+_PATH_FACTORS = {
+    "pikk": lambda n, k: range(2, n + 1),
+    "fisher_yates": lambda n, k: range(2, n + 1),
+    "random_indices": lambda n, k: range(n - k + 1, n + 1),
+    "cormen": lambda n, k: range(n - k + 1, n + 1),
+    "reservoir_r": lambda n, k: range(k + 1, n + 1),
+    "vitter_z": lambda n, k: itertools.repeat(k + 1, n - k),
+}
+
+
+def _check_paths(algorithm: str, n: int, k: int) -> None:
+    count = 1
+    for factor in _PATH_FACTORS[algorithm](n, k):
+        count *= factor
+        if count > MAX_PATHS:
+            raise InfeasibleSizeError(f"{algorithm} at n = {n}, k = {k} has more than {MAX_PATHS:,} draw paths")
 
 
 def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):
@@ -247,14 +289,16 @@ def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):
     spec = SampleSpec(n, k, algorithm=algorithm)
     if draw_dist is not None and algorithm in ("pikk", "vitter_z"):
         raise ValueError(f"{algorithm} enumeration does not take a draw distribution")
+    _check_paths(algorithm, n, k)
     if algorithm == "pikk":
-        return _pikk_subsets(spec)
+        return _pikk_subsets(n, k)
     branch = _BRANCH_RULES.get(algorithm, _int_draws)(n, k, draw_dist)
     return _enumerate(lambda src: spec.run(src).as_set(), branch)
 
 
 def exact_permutation_distribution(n: int, draw_dist=None):
     """Exact distribution over full permutations produced by fisher_yates."""
+    _check_paths("fisher_yates", n, n)
     return _enumerate(lambda src: fisher_yates(src, n).items, _int_draws(n, n, draw_dist))
 
 

@@ -135,10 +135,9 @@ class ScriptedSource:
         return self._ipos == len(self._ints) and self._fpos == len(self._fracs)
 
 
-def _accounted(source, fn):
-    w0 = source.words_used
-    d0 = source.draws
-    items, short = fn()
+def _sample(source, w0: int, d0: int, items, short: bool = False) -> Sample:
+    """The Sample of ``items``, charged with what ``source`` consumed since
+    its words_used and draws read w0 and d0."""
     words = source.words_used - w0
     return Sample(tuple(items), words, source.draws - d0, words * source.width, short)
 
@@ -168,13 +167,10 @@ def pikk(source, n: int, k: int) -> Sample:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     _check_population(n)
-
-    def run():
-        keys = source.fractions(n)
-        order = sorted(range(n), key=keys.__getitem__)
-        return [i + 1 for i in order[:k]], False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    keys = source.fractions(n)
+    order = sorted(range(n), key=keys.__getitem__)
+    return _sample(source, w0, d0, [i + 1 for i in order[:k]])
 
 
 def shuffles(source, n: int, count: int):
@@ -222,12 +218,9 @@ def fisher_yates(source, n: int) -> Sample:
 
 def _shuffle_prefix(source, n: int, k: int) -> Sample:
     """The first k items of one shuffle of (1..n)."""
-
-    def run():
-        [shuffle] = shuffles(source, n, 1)
-        return shuffle[:k], False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    [shuffle] = shuffles(source, n, 1)
+    return _sample(source, w0, d0, shuffle[:k])
 
 
 def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sample:
@@ -243,28 +236,25 @@ def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sa
     if not with_replacement and k > n:
         raise ValueError("k > n without replacement")
     _check_population(k, "sample size k")
-
-    def run():
-        if with_replacement:
-            return source.randints(repeat(n, k)), False
-        seen: set[int] = set()
-        picks: list[int] = []
-        duplicates = 0
-        # k - len(picks) more draws are needed whatever they turn out to
-        # be, so drawing that many at once reads the stream draw by draw
-        while len(picks) < k:
-            for v in source.randints(repeat(n, k - len(picks))):
-                if v not in seen:
-                    seen.add(v)
-                    picks.append(v)
-                    duplicates = 0
-                    continue
-                duplicates += 1
-                if duplicates == 90 * n:
-                    raise DegenerateStreamError(f"{duplicates} duplicate draws in a row")
-        return picks, False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    if with_replacement:
+        return _sample(source, w0, d0, source.randints(repeat(n, k)))
+    seen: set[int] = set()
+    picks: list[int] = []
+    duplicates = 0
+    # k - len(picks) more draws are needed whatever they turn out to be,
+    # so drawing that many at once reads the stream draw by draw
+    while len(picks) < k:
+        for v in source.randints(repeat(n, k - len(picks))):
+            if v not in seen:
+                seen.add(v)
+                picks.append(v)
+                duplicates = 0
+                continue
+            duplicates += 1
+            if duplicates == 90 * n:
+                raise DegenerateStreamError(f"{duplicates} duplicate draws in a row")
+    return _sample(source, w0, d0, picks)
 
 
 def cormen_sample(source, n: int, k: int) -> Sample:
@@ -277,18 +267,15 @@ def cormen_sample(source, n: int, k: int) -> Sample:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     _check_population(k, "sample size k")
-
-    def run():
-        chosen: set[int] = set()
-        order: list[int] = []
-        sizes = range(n - k + 1, n + 1)
-        for j, i in zip(sizes, source.randints(sizes)):
-            pick = j if i in chosen else i
-            chosen.add(pick)
-            order.append(pick)
-        return order, False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    chosen: set[int] = set()
+    order: list[int] = []
+    sizes = range(n - k + 1, n + 1)
+    for j, i in zip(sizes, source.randints(sizes)):
+        pick = j if i in chosen else i
+        chosen.add(pick)
+        order.append(pick)
+    return _sample(source, w0, d0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,7 @@ def _fill(it, k: int) -> tuple[list, bool]:
         warnings.warn(
             f"stream ended after {len(reservoir)} items, reservoir wants {k}",
             ShortStreamWarning,
-            stacklevel=5,
+            stacklevel=3,
         )
     return reservoir, short
 
@@ -317,21 +304,18 @@ def reservoir_r(stream, k: int, source) -> Sample:
     k yields the whole stream with short=True."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def run():
-        it = iter(stream)
-        reservoir, short = _fill(it, k)
-        if short:
-            return reservoir, True
-        t = k
-        while chunk := list(islice(it, DRAW_CHUNK)):
-            for item, j in zip(chunk, source.randints(range(t + 1, t + 1 + len(chunk)))):
-                if j <= k:
-                    reservoir[j - 1] = item
-            t += len(chunk)
-        return reservoir, False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    it = iter(stream)
+    reservoir, short = _fill(it, k)
+    if short:
+        return _sample(source, w0, d0, reservoir, True)
+    t = k
+    while chunk := list(islice(it, DRAW_CHUNK)):
+        for item, j in zip(chunk, source.randints(range(t + 1, t + 1 + len(chunk)))):
+            if j <= k:
+                reservoir[j - 1] = item
+        t += len(chunk)
+    return _sample(source, w0, d0, reservoir)
 
 
 def vitter_z(stream, k: int, source) -> Sample:
@@ -351,26 +335,23 @@ def vitter_z(stream, k: int, source) -> Sample:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def run():
-        it = iter(stream)
-        reservoir, short = _fill(it, k)
-        if short:
-            return reservoir, True
-        v = None
-        for t, item in enumerate(it, start=k + 1):
-            if v is None:
-                v = source.fraction()
-                quot = (t - k) / t
-            else:
-                quot *= (t - k) / t
-            # the exact product never reaches v = 0, although the float one can
-            if quot <= v and v:
-                reservoir[source.randint(k) - 1] = item
-                v = None
-        return reservoir, False
-
-    return _accounted(source, run)
+    w0, d0 = source.words_used, source.draws
+    it = iter(stream)
+    reservoir, short = _fill(it, k)
+    if short:
+        return _sample(source, w0, d0, reservoir, True)
+    v = None
+    for t, item in enumerate(it, start=k + 1):
+        if v is None:
+            v = source.fraction()
+            quot = (t - k) / t
+        else:
+            quot *= (t - k) / t
+        # the exact product never reaches v = 0, although the float one can
+        if quot <= v and v:
+            reservoir[source.randint(k) - 1] = item
+            v = None
+    return _sample(source, w0, d0, reservoir)
 
 
 # tag -> draw(spec, source, stream): one sample for a validated SampleSpec

@@ -97,6 +97,25 @@ class TestGen:
         assert from_file == run_cli(capsys, "gen", "--seed", "31", "--count", "3")
         assert from_file[0] == 0
 
+    @pytest.mark.parametrize("text, value", [("010", 10), ("0x1F", 31), ("0o17", None)])
+    def test_seed_text_reads_by_one_rule_from_the_flag_and_a_file(self, capsys, tmp_path, text, value):
+        # decimal digits, or 0x and hex digits: 010 is ten and 0o17 is refused
+        path = tmp_path / "seed.txt"
+        path.write_text(f"# a seed\n{text}\n")
+        runs = [
+            run_cli(capsys, "gen", "--prng", "mt", *flag, "--count", "3")
+            for flag in (["--seed", text], ["--seed-file", str(path)])
+        ]
+        if value is None:
+            for code, out, err in runs:
+                assert (code, out) == (USAGE_ERROR, "")
+                assert err == f"error: an integer seed is decimal digits or 0x and hex digits, got '{text}'\n"
+            return
+        _, expected, _ = run_cli(capsys, "gen", "--prng", "mt", "--seed", str(value), "--count", "3")
+        for code, out, _ in runs:
+            assert code == 0
+            assert out.splitlines()[1:] == expected.splitlines()[1:]
+
     def test_env_seed_used(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV, "fromenv")
         code, out, err = run_cli(capsys, "gen", "--count", "1")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from randaudit import pathenum
+from randaudit import pathenum, sampling
 
+from randaudit.errors import InfeasibleSizeError
 from randaudit.generators import ScriptedGenerator
 from randaudit.integers import RandomSource, exact_distribution
 from randaudit.pathenum import (
@@ -23,8 +24,8 @@ from randaudit.sampling import SampleSpec, ScriptedSource, fisher_yates, reservo
 
 @pytest.mark.parametrize("algorithm", ENUMERABLE_ALGORITHMS)
 def test_uniform_on_subsets_spot_check(algorithm):
-    assert exact_subset_distribution(algorithm, 4, 2) == uniform_subset_reference(4, 2)
-    assert exact_subset_distribution(algorithm, 5, 3) == uniform_subset_reference(5, 3)
+    for n, k in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 3)]:
+        assert exact_subset_distribution(algorithm, n, k) == uniform_subset_reference(n, k)
 
 
 def test_cormen_five_choose_two_exhaustive():
@@ -221,6 +222,12 @@ def test_a_bad_draw_model_is_refused_before_any_replay(model):
             exact_subset_distribution(algorithm, 2, 1, draw_dist=lambda m: model)
 
 
+def test_exactly_k_positive_draw_values_are_drawn_in_every_order():
+    model = {1: Fraction(1, 3), 2: Fraction(0), 3: Fraction(2, 3)}
+    dist = exact_subset_distribution("random_indices", 3, 2, draw_dist=lambda m: model)
+    assert dist == {frozenset({1, 3}): 1}
+
+
 @pytest.mark.parametrize(
     "n, k, model",
     [
@@ -244,8 +251,9 @@ def test_too_few_positive_draw_values_are_refused_before_any_replay(monkeypatch,
     [
         (lambda: exact_permutation_distribution(6), math.factorial(6) + 1),
         (lambda: exact_subset_distribution("reservoir_r", 6, 2), 3 * 4 * 5 * 6 + 1),
+        (lambda: exact_subset_distribution("fisher_yates", 6, 2), math.factorial(6) + 1),
     ],
-    ids=["permutations6", "reservoir_r_6_2"],
+    ids=["permutations6", "reservoir_r_6_2", "fisher_yates_6_2"],
 )
 def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_case, replays):
     count = [0]
@@ -258,6 +266,67 @@ def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_c
     monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
     enumerate_case()
     assert count[0] == replays
+
+
+def test_pikk_enumeration_runs_pikk_once_per_rank_order(monkeypatch):
+    calls = [0]
+
+    def counting_pikk(*args):
+        calls[0] += 1
+        return real_pikk(*args)
+
+    real_pikk = sampling.pikk
+    # the enumeration may call pikk by either module's name
+    monkeypatch.setattr(sampling, "pikk", counting_pikk)
+    monkeypatch.setattr(pathenum, "pikk", counting_pikk)
+    assert exact_subset_distribution("pikk", 6, 2) == uniform_subset_reference(6, 2)
+    assert calls[0] == math.factorial(6)
+
+
+# complete draw paths at n = 6, k = 2: 6!, 6!/4!, 6!/2! and 3**4
+PATH_COUNTS_6_2 = {"pikk": 720, "fisher_yates": 720, "random_indices": 30, "cormen": 30, "reservoir_r": 360, "vitter_z": 81}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PATH_COUNTS_6_2))
+def test_max_paths_admits_exactly_the_closed_form_count(monkeypatch, algorithm):
+    paths = PATH_COUNTS_6_2[algorithm]
+    monkeypatch.setattr(pathenum, "MAX_PATHS", paths - 1)
+    with pytest.raises(InfeasibleSizeError, match=f"^{algorithm} at n = 6, k = 2 has more than {paths - 1} draw paths$"):
+        exact_subset_distribution(algorithm, 6, 2)
+    monkeypatch.setattr(pathenum, "MAX_PATHS", paths)
+    assert exact_subset_distribution(algorithm, 6, 2) == uniform_subset_reference(6, 2)
+
+
+@pytest.mark.parametrize("algorithm", sorted(set(PATH_COUNTS_6_2) - {"pikk"}))
+def test_the_closed_form_counts_the_complete_paths(monkeypatch, algorithm):
+    complete = [0]
+
+    class CountingReplay(_Replay):
+        def fully_consumed(self):
+            complete[0] += 1
+            return super().fully_consumed()
+
+    monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
+    exact_subset_distribution(algorithm, 6, 2)
+    assert complete[0] == PATH_COUNTS_6_2[algorithm]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exact_subset_distribution("fisher_yates", 40, 10), "fisher_yates at n = 40, k = 10"),
+        (lambda: exact_subset_distribution("pikk", 10, 2), "pikk at n = 10, k = 2"),
+        (lambda: exact_subset_distribution("vitter_z", 20, 3), "vitter_z at n = 20, k = 3"),
+        (lambda: exact_permutation_distribution(14), "fisher_yates at n = 14, k = 14"),
+    ],
+    ids=["fisher_yates_40_10", "pikk_10_2", "vitter_z_20_3", "permutations_14"],
+)
+def test_too_many_paths_are_refused_before_any_replay(monkeypatch, call, message):
+    # a replay would fail at once, not run for hours
+    for name in ("_Replay", "ScriptedSource"):
+        monkeypatch.setattr(pathenum, name, None)
+    with pytest.raises(InfeasibleSizeError, match=f"^{message} has more than 1,000,000 draw paths$"):
+        call()
 
 
 # _enumerate's own checks, fed a custom run and the plain integer branch rule
@@ -288,7 +357,7 @@ def test_enumerate_rejects_branch_masses_that_do_not_sum_to_one():
     rule = pathenum._int_draws(2, 1, None)
 
     def half(*args):
-        return [(entry, p / 2) for entry, p in rule(*args)]
+        return [(entry, num, den * 2) for entry, num, den in rule(*args)]
 
     with pytest.raises(AssertionError, match=r"sum to 1/2, not 1"):
         pathenum._enumerate(lambda src: src.randint(2), half)

@@ -259,6 +259,13 @@ class TestCormen:
         assert cormen_sample(src, 50, 7).draws == 7
 
 
+@pytest.mark.parametrize("sampler", [reservoir_r, vitter_z], ids=["reservoir_r", "vitter_z"])
+def test_a_short_stream_warning_names_the_callers_file(sampler):
+    with pytest.warns(ShortStreamWarning) as record:
+        sampler([1], 3, ScriptedSource())
+    assert [w.filename for w in record] == [__file__]
+
+
 class TestReservoirR:
     def test_stream_equal_k_is_deterministic(self):
         s = ScriptedSource()
@@ -424,7 +431,7 @@ class TestSampleRecord:
 
 
 # The draw-source protocol: the four draw calls and the three counters
-# that _accounted reads
+# that _sample reads
 PROTOCOL = {"randints", "randint", "fractions", "fraction", "words_used", "draws", "width"}
 
 
