@@ -18,22 +18,29 @@ run the mutant too.  The named test set then runs in that copy with
 ``pytest -x`` and PYTHONPATH set to its src, one mutant per CPU at a time,
 and each copy is removed after its run.  A run still going after
 ``--timeout`` seconds is killed with its process group and counted apart,
-as killed: the test suite's own hang limit would fail it.  An interrupt
-(Ctrl-C) kills every running test run before the copies are removed.  The
-unmutated checkout must pass the same tests first, or the script exits 2.
+as killed: the test suite's own hang limit would fail it.  Each run may
+map MEMORY_LIMIT bytes at most, so a mutant that allocates without bound
+fails with MemoryError (killed) instead of filling the machine.  An
+interrupt (Ctrl-C) kills every running test run before the copies are
+removed.  The unmutated checkout must pass the same tests first, or the
+script exits 2.
 
-A surviving mutant whose (function, "original -> mutated" source text) key
-is in EQUIVALENT, with the reason it cannot change what the module
-computes, is counted but not shown; every other survivor is printed as
-``path:line function: original -> mutated``.  The exit code is 0 when no
-unlisted survivor is left and 1 otherwise.  Standard library only.
+A mutant's key is (function, "original -> mutated" source text), with
+" (site i)" added for the i-th site of that function that shows the same
+text, from the second on.  A surviving mutant whose key is in EQUIVALENT,
+with the reason it cannot change what the module computes, is counted but
+not shown; every other survivor is printed as ``path:line function: key
+text``.  The exit code is 0 when no unlisted survivor is left and 1
+otherwise.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -60,6 +67,12 @@ TEST_SETS = {
         "tests/test_stream_contract.py",
         "tests/test_refusals.py",
     ),
+    "sampling": (
+        "tests/test_sampling.py",
+        "tests/test_stream_contract.py",
+        "tests/test_pathenum.py",
+        "tests/test_refusals.py",
+    ),
 }
 
 COMPARE_FLIPS = {
@@ -72,9 +85,8 @@ BINOP_SWAPS = {
 }
 BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 
-# module stem -> {(function, "original -> mutated"): why the survivor is
-# equivalent}.  A key names every site of that function with that text,
-# so tests/test_mutants.py checks that each names exactly one.
+# module stem -> {mutant key: why the survivor is equivalent};
+# tests/test_mutants.py checks that each key names exactly one site.
 # In integers.py the mask kernel's fast branch (shift >= 0) and its slow
 # branch (the sentinel shift -1) read and reject the same words, so moving
 # an m from one to the other, or cutting a plan into other runs, changes
@@ -113,6 +125,14 @@ EQUIVALENT: dict[str, dict[tuple[str, str], str]] = {
         ("_pikk_subsets", "n + 2 -> n + 3"): "the rank fractions stay distinct and increasing",
         ("_skip_cells", "q_prev / 2 -> q_prev / 3"): "q/3 lies inside the tail cell (0, q) as q/2 does",
     },
+    # shuffles' three branches draw the same ranges in the same order and
+    # differ only in how they cut them into randints calls
+    "sampling": {
+        ("shuffles", "n <= DRAW_CHUNK -> n < DRAW_CHUNK"): "one shuffle of n = DRAW_CHUNK moves to the tile branch",
+        ("shuffles", "n > DRAW_CHUNK -> n >= DRAW_CHUNK"): "shuffles of n = DRAW_CHUNK move to the slice branch",
+        ("shuffles", "n - 1 -> n + 1"): "the extra range slices start past the end of the period, so they are empty",
+        ("random_indices", "duplicates = 0 -> duplicates = 1"): "the first draw is always new and sets the count to 0",
+    },
 }
 
 
@@ -122,10 +142,12 @@ class Mutant(NamedTuple):
     original: str
     mutated: str
     source: str
+    site: int = 1  # the i-th site of the function that shows this text
 
     @property
     def key(self) -> tuple[str, str]:
-        return self.function, f"{self.original} -> {self.mutated}"
+        text = f"{self.original} -> {self.mutated}"
+        return self.function, text if self.site == 1 else f"{text} (site {self.site})"
 
 
 def _edits(node):
@@ -161,6 +183,7 @@ def mutants(source: str) -> list[Mutant]:
     the expression it changes (for a constant, what holds it)."""
     tree = ast.parse(source)
     found = []
+    sites = collections.Counter()
     for function, node, parent in _walk_functions(tree):
         shown = parent if isinstance(node, ast.Constant) and isinstance(parent, _SHOWN_WHOLE) else node
         for container, key, value in _edits(node):
@@ -168,7 +191,8 @@ def mutants(source: str) -> list[Mutant]:
             old = _swap(container, key, value)
             after, mutated = ast.unparse(shown), ast.unparse(tree)
             _swap(container, key, old)
-            found.append(Mutant(function, node.lineno, before, after, mutated + "\n"))
+            sites[function, before, after] += 1
+            found.append(Mutant(function, node.lineno, before, after, mutated + "\n", sites[function, before, after]))
     return found
 
 
@@ -205,6 +229,11 @@ _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pyt
 
 
 JOBS = os.cpu_count() or 1  # test runs at a time
+MEMORY_LIMIT = 1 << 30  # bytes of address space per test run
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def run_tests(sources, relative: Path, tests, timeout: float, workdir: Path) -> list[str]:
@@ -228,7 +257,7 @@ def run_tests(sources, relative: Path, tests, timeout: float, workdir: Path) -> 
                 env["PYTHONPATH"] = str(checkout / "src")
                 proc = subprocess.Popen(
                     cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                    start_new_session=True,
+                    start_new_session=True, preexec_fn=_limit_memory,
                 )
                 running[proc] = i, checkout, time.monotonic() + timeout
             time.sleep(0.2)
@@ -294,9 +323,9 @@ def main(argv=None) -> int:
         f"({len(survivors) - len(unlisted)} listed as equivalent), {len(errors)} errors"
     )
     for m, outcome in errors:
-        print(f"{relative}:{m.line} {m.function}: {m.original} -> {m.mutated}: {outcome}")
+        print(f"{relative}:{m.line} {': '.join(m.key)}: {outcome}")
     for m in unlisted:
-        print(f"{relative}:{m.line} {m.function}: {m.original} -> {m.mutated}")
+        print(f"{relative}:{m.line} {': '.join(m.key)}")
     return 1 if unlisted or errors else 0
 
 

@@ -70,19 +70,23 @@ def _given(args, dests) -> list[str]:
 
 
 def _resolve_seed(args, allow_entropy: bool) -> str:
-    """Seed precedence: the one seed flag given, else the environment
-    variable.  Fresh entropy is allowed only where reproducibility is not
+    """The seed text, as given: the one seed flag given, else the
+    environment variable.  Fresh entropy, 0x and 32 hex digits that every
+    generator family reads, is allowed only where reproducibility is not
     the point (plain generation), and prints a warning."""
     given = _given(args, SEED_FLAGS)
     if len(given) > 1:
         raise ValueError(f"pass one seed flag, not {' and '.join(given)}")
     if args.seed_file is not None:
-        return str(load_seed(args.seed_file))
+        return load_seed(args.seed_file)
     for seed in (args.seed, os.environ.get(SEED_ENV)):
         if seed is not None:
             return seed
     if allow_entropy:
-        seed = "hex:" + os.urandom(16).hex()
+        value = int.from_bytes(os.urandom(16), "big")
+        if args.prng == "lcg" and args.m > 1:
+            value %= args.m  # an LCG refuses a seed of m or more
+        seed = f"0x{value:032x}"
         print(
             f"warning: no seed given; using fresh entropy {seed} "
             f"(pass --seed or set {SEED_ENV} to reproduce)",
@@ -314,7 +318,7 @@ def _cmd_audit(args) -> int:
 
 def _add_seed_flags(p: argparse.ArgumentParser, seed_help="seed (integer, or any string for --prng hash)"):
     p.add_argument("--seed", help=seed_help)
-    p.add_argument("--seed-file", help="file with one hex/decimal seed line")
+    p.add_argument("--seed-file", help="file with one line of seed text, read as --seed reads it")
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, default_prng="hash"):

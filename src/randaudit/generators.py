@@ -67,12 +67,6 @@ class Seed:
         return cls(text.encode("utf-8"))
 
     @classmethod
-    def from_int(cls, value: int) -> "Seed":
-        if value < 0:
-            raise ValueError("integer seeds must be nonnegative")
-        return cls.from_text(str(value))
-
-    @classmethod
     def parse(cls, human: str) -> "Seed":
         if human.startswith("hex:"):
             return cls(bytes.fromhex(human[4:]))
@@ -409,23 +403,14 @@ class HashCounterGenerator(Generator):
     read-ahead).
     """
 
-    def __init__(
-        self,
-        seed: Seed | str | bytes | int,
-        width: int = 32,
-        hash_name: str = "sha256",
-    ):
-        if isinstance(seed, Seed):
-            seed_obj = seed
-        elif isinstance(seed, bytes):
-            seed_obj = Seed(seed)
-        elif isinstance(seed, int):
-            seed_obj = Seed.from_int(seed)
-        else:
-            seed_obj = Seed.from_text(seed)
-        if not seed_obj.data:
+    def __init__(self, seed: Seed | str, width: int = 32, hash_name: str = "sha256"):
+        if isinstance(seed, str):
+            seed = Seed.from_text(seed)
+        elif not isinstance(seed, Seed):
+            raise TypeError(f"a hash_counter seed is a Seed or text, not {type(seed).__name__}")
+        if not seed.data:
             raise ValueError("hash_counter seed must be nonempty")
-        self.seed = seed_obj
+        self.seed = seed
         self.width = width
         self.hash_name = hash_name
         self.words_emitted = 0
@@ -505,7 +490,8 @@ class ScriptedGenerator(Generator):
 
 def _int_seed(seed):
     """An integer seed, read from text when it is one: decimal digits, or 0x
-    and hex digits.  The one rule for seed text, --seed and seed files alike."""
+    and hex digits.  Every origin of seed text hands it to VARIANTS as it
+    is, so this is the one rule by which the integer families read it."""
     if not isinstance(seed, str):
         return seed
     if not re.fullmatch(r"[0-9]+|0[xX][0-9a-fA-F]+", seed):
@@ -566,9 +552,10 @@ def load_scripted(path) -> ScriptedGenerator:
     return ScriptedGenerator(script, width)
 
 
-def load_seed(path) -> int:
-    """Read a seed file: one line of seed text as _int_seed reads it; lines
-    starting with ``#`` are comments."""
+def load_seed(path) -> str:
+    """Read a seed file: its one value line, stripped, is seed text, read
+    as ``--seed`` text is; blank lines and lines starting with ``#`` are
+    skipped."""
     payload = None
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -581,4 +568,4 @@ def load_seed(path) -> int:
         payload = ln
     if payload is None:
         raise ValueError("seed file contains no value")
-    return _int_seed(payload)
+    return payload

@@ -13,8 +13,8 @@ is replayed once per complete path, and once more wherever a path ends
 just before a new call.  The branch rules give each draw's mass as an
 integer pair, each path carries its mass as an unreduced integer pair,
 and the rationals are formed once per outcome at the end.  An
-enumeration whose closed-form count of complete paths is above MAX_PATHS
-is refused before any replay.
+enumeration whose closed-form count of complete paths is above MAX_PATHS,
+or whose paths times n is above 10**7, is refused before any replay.
 
 Where an algorithm consumes a uniform integer on {1..m}, the branch is
 over the m values with probability 1/m each: for mask-reject on IID
@@ -36,10 +36,10 @@ than raw draws:
   harness computes those cell boundaries exactly, branches over the cells
   with their exact widths, and hands the real code a representative v
   from strictly inside each cell; the implementation still derives the
-  skip itself.  The implementation accumulates q in floats, but for
-  n <= 12 every cell is wider than 9e-4 (the narrowest, 5/5544, is at
-  n = 12, k = t = 5, skip 6) while float error stays below 1e-14, so a
-  representative can never be seen on the wrong side of a boundary.
+  skip itself.  The implementation accumulates q in floats, but at every
+  (n, k) the limits admit each cell is wider than 3e-5 (the narrowest,
+  1/29260, is the tail at n = 57, k = t = 54) and float error is below
+  1e-15, so a representative is never seen across a boundary.
 
 random_indices without replacement rejects duplicates; a duplicate draw
 leaves the algorithm state unchanged, so the next accepted value is
@@ -253,8 +253,10 @@ def _pikk_subsets(n: int, k: int):
 
 ENUMERABLE_ALGORITHMS = tuple(ALGORITHMS)
 
-# The most complete draw paths an enumeration may have
+# The most complete draw paths an enumeration may have, and the most
+# paths times n: each replay walks up to n records
 MAX_PATHS = 10 ** 6
+_MAX_PATH_RECORDS = 10 ** 7
 
 # algorithm -> (n, k) -> the factors whose product is its count of
 # complete draw paths: n! orders or shuffles, n!/(n-k)! draw sequences,
@@ -275,6 +277,8 @@ def _check_paths(algorithm: str, n: int, k: int) -> None:
         count *= factor
         if count > MAX_PATHS:
             raise InfeasibleSizeError(f"{algorithm} at n = {n}, k = {k} has more than {MAX_PATHS:,} draw paths")
+    if count * n > _MAX_PATH_RECORDS:
+        raise InfeasibleSizeError(f"{algorithm} at n = {n}, k = {k} replays more than {_MAX_PATH_RECORDS:,} records")
 
 
 def exact_subset_distribution(algorithm: str, n: int, k: int, draw_dist=None):

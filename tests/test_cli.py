@@ -15,6 +15,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# --prng -> its flags, LCG parameters included
+PRNG_FLAGS = {
+    "hash": ["--prng", "hash"],
+    "mt": ["--prng", "mt"],
+    "wh": ["--prng", "wh"],
+    "lcg": ["--prng", "lcg", "--a", "5", "--c", "1", "--m", "256"],
+}
+
+
 class TestGen:
     def test_hash_words_deterministic(self, capsys):
         code, out, _ = run_cli(
@@ -49,7 +58,7 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--count", "1")
         assert code == 0
         assert "entropy" in err
-        assert "hex:" in err
+        assert re.search(r" 0x[0-9a-f]{32} ", err)
 
     def test_integers_need_range(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--seed", "1", "--as", "integers")
@@ -92,10 +101,46 @@ class TestGen:
 
     def test_seed_file_reads_as_the_same_seed(self, capsys, tmp_path):
         path = tmp_path / "seed.txt"
-        path.write_text("# the seed 31\n0x1f\n")
+        path.write_text("# the seed 0x1f\n0x1f\n")
         from_file = run_cli(capsys, "gen", "--seed-file", str(path), "--count", "3")
-        assert from_file == run_cli(capsys, "gen", "--seed", "31", "--count", "3")
+        assert from_file == run_cli(capsys, "gen", "--seed", "0x1f", "--count", "3")
         assert from_file[0] == 0
+
+    @pytest.mark.parametrize("text", ["010", "0x1F", "7", "abc"])
+    @pytest.mark.parametrize("prng", sorted(PRNG_FLAGS))
+    def test_every_seed_origin_hands_on_the_same_text(self, capsys, monkeypatch, tmp_path, prng, text):
+        # --seed, a seed file and RANDAUDIT_SEED give the same stdout, stderr
+        # and exit code: the header records the text as given, the hash
+        # counter hashes it, and the integer families read or refuse it
+        path = tmp_path / "seed.txt"
+        path.write_text(f"# a seed\n{text}\n")
+        argv = ["gen", *PRNG_FLAGS[prng], "--count", "2"]
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        runs = [run_cli(capsys, *argv, "--seed", text), run_cli(capsys, *argv, "--seed-file", str(path))]
+        monkeypatch.setenv(SEED_ENV, text)
+        runs.append(run_cli(capsys, *argv))
+        assert runs[1:] == runs[:1] * 2
+        code, out, err = runs[0]
+        if prng != "hash" and text == "abc":
+            assert (code, out) == (USAGE_ERROR, "")
+            assert err == "error: an integer seed is decimal digits or 0x and hex digits, got 'abc'\n"
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out.splitlines()[0][2:])["seed"] == text
+
+    @pytest.mark.parametrize("prng", sorted(PRNG_FLAGS))
+    def test_fresh_entropy_names_a_seed_that_replays(self, capsys, monkeypatch, prng):
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        argv = ["gen", *PRNG_FLAGS[prng], "--count", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        [line] = err.splitlines()
+        seed = re.fullmatch(
+            r"warning: no seed given; using fresh entropy (0x[0-9a-f]{32}) "
+            rf"\(pass --seed or set {SEED_ENV} to reproduce\)",
+            line,
+        ).group(1)
+        assert run_cli(capsys, *argv, "--seed", seed) == (0, out, "")
 
     @pytest.mark.parametrize("text, value", [("010", 10), ("0x1F", 31), ("0o17", None)])
     def test_seed_text_reads_by_one_rule_from_the_flag_and_a_file(self, capsys, tmp_path, text, value):

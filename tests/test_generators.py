@@ -250,10 +250,12 @@ class TestHashCounter:
         b = HashCounterGenerator("batch")
         assert [first] + rest == [b.words(1)[0] for _ in range(22)]
 
-    def test_seed_5_as_int_str_or_bytes_gives_one_stream(self):
-        expected = HashCounterGenerator("5").words(9)
-        assert HashCounterGenerator(5).words(9) == expected
-        assert HashCounterGenerator(b"5").words(9) == expected
+    def test_seed_5_as_str_or_seed_gives_one_stream(self):
+        assert HashCounterGenerator("5").words(2) == [1606890390, 1135496759]
+        assert HashCounterGenerator(Seed(b"5")).words(2) == [1606890390, 1135496759]
+        for seed in (5, b"5", 5.0):
+            with pytest.raises(TypeError, match="^a hash_counter seed is a Seed or text, not "):
+                HashCounterGenerator(seed)
 
     def test_nondefault_width(self):
         g = HashCounterGenerator("abc", width=16)
@@ -599,9 +601,10 @@ class TestSeed:
         assert Seed.parse(s.human).data == data
 
     def test_int_seed_is_decimal_text(self):
-        assert Seed.from_int(123456).human == "123456"
+        # the integer families read seed text; a Seed holds the hash counter's
+        assert seed_generator("mt19937", "123456").spec()["seed"] == 123456
         with pytest.raises(ValueError):
-            Seed.from_int(-1)
+            seed_generator("mt19937", "-1")
 
     def test_hex_prefixed_text_is_not_misparsed(self):
         s = Seed.from_text("hex:cafe")
@@ -623,11 +626,14 @@ class TestFileFormats:
             load_scripted(p)
 
     def test_seed_file_decimal_and_hex(self, tmp_path):
+        # the value line is seed text, handed on as written
         p = tmp_path / "seed.txt"
         p.write_text("# a comment\n12345\n")
-        assert load_seed(p) == 12345
-        p.write_text("# c\n0x;\n".replace(";", "ff"))
-        assert load_seed(p) == 255
+        assert load_seed(p) == "12345"
+        p.write_text("# c\n0xff\n")
+        assert load_seed(p) == "0xff"
+        p.write_text("\n  any text \n")
+        assert load_seed(p) == "any text"
 
     def test_seed_file_rejects_multiple_values(self, tmp_path):
         p = tmp_path / "seed.txt"

@@ -57,6 +57,16 @@ def test_one_mutant_per_site_in_every_function():
     ]
 
 
+def test_a_repeated_text_is_keyed_by_its_site():
+    source = "def f(n):\n    a = n - 1\n    b = n - 1\n    return a, b\n"
+    assert [(m.line, *m.key) for m in mutants.mutants(source)] == [
+        (2, "f", "n - 1 -> n + 1"),
+        (2, "f", "n - 1 -> n - 2"),
+        (3, "f", "n - 1 -> n + 1 (site 2)"),
+        (3, "f", "n - 1 -> n - 2 (site 2)"),
+    ]
+
+
 def test_each_mutant_changes_only_its_site():
     found = mutants.mutants(TOY)
     assert len({m.source for m in found}) == len(found)
@@ -85,6 +95,12 @@ def test_a_run_past_its_timeout_is_killed(tmp_path):
     assert mutants.run_tests([None], MODULE, [str(tmp_path / "test_hang.py")], 0.5, tmp_path) == ["timeout"]
     assert time.monotonic() - started < 60
     assert [path.name for path in tmp_path.iterdir()] == ["test_hang.py"]
+
+
+def test_a_run_that_maps_more_than_the_memory_limit_fails(tmp_path):
+    # 3 GiB of zeroed pages, never touched: no memory is used either way
+    (tmp_path / "test_big.py").write_text("def test_big():\n    bytearray(3 << 30)\n")
+    assert mutants.run_tests([None], MODULE, [str(tmp_path / "test_big.py")], 60, tmp_path) == ["killed"]
 
 
 def test_an_interrupt_kills_every_running_test_run(tmp_path, monkeypatch):

@@ -99,21 +99,38 @@ def test_vitter_z_follows_skip_cells_on_long_streams():
         src.fraction()  # every scripted fraction was used
 
 
+def _vitter_z_admitted(n, k):
+    try:
+        pathenum._check_paths("vitter_z", n, k)
+    except InfeasibleSizeError:
+        return False
+    return True
+
+
 def test_vitter_z_skip_cells_are_wider_than_float_error():
-    # the margin the pathenum docstring states: for n <= 12 every cell is
-    # wider than 9e-4, and vitter_z's float products of (i - k) / i stay
-    # within 1e-14 of the exact boundaries, so a cell's midpoint lands in it
-    widths = []
-    for n in range(2, 13):
-        for t in range(1, n):
-            for k in range(1, t + 1):
+    # the margin the pathenum docstring states, over every (n, k) that
+    # MAX_PATHS and the record limit admit (n = k + 1 up to k = 3,161):
+    # every cell is wider than 3e-5, and vitter_z's float products of
+    # (i - k) / i stay within 1e-15 of the exact boundaries, so a cell's
+    # midpoint lands in it
+    widths, errors = [], [0]
+    k = 1
+    while _vitter_z_admitted(k + 1, k):
+        n = k + 1
+        while _vitter_z_admitted(n, k):
+            for t in range(k, n):
                 widths += [p for _, p, _ in _skip_cells(k, t, n - t)]
                 quot, exact = 1.0, Fraction(1)
                 for i in range(t + 1, n + 1):
                     quot *= (i - k) / i
                     exact *= Fraction(i - k, i)
-                    assert abs(Fraction(quot) - exact) < 1e-14
-    assert min(widths) == Fraction(5, 5544) > 9e-4
+                    errors.append(abs(Fraction(quot) - exact))
+            n += 1
+        k += 1
+    assert k == 3162
+    # the tail cell at n = 57, k = t = 54: (1/55)(2/56)(3/57)
+    assert min(widths) == Fraction(1, 29260) > 3e-5
+    assert max(errors) < 1e-15
 
 
 def test_replay_randints_branches_at_the_first_unscripted_draw():
@@ -327,6 +344,47 @@ def test_too_many_paths_are_refused_before_any_replay(monkeypatch, call, message
         monkeypatch.setattr(pathenum, name, None)
     with pytest.raises(InfeasibleSizeError, match=f"^{message} has more than 1,000,000 draw paths$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "algorithm, n, k",
+    [("reservoir_r", 10 ** 5 + 1, 10 ** 5), ("vitter_z", 10 ** 5 + 1, 10 ** 5), ("vitter_z", 20, 1)],
+)
+def test_paths_times_n_above_the_record_limit_are_refused_before_any_replay(monkeypatch, algorithm, n, k):
+    # n = k + 1 has only n paths, but each replay walks n records
+    for name in ("_Replay", "ScriptedSource"):
+        monkeypatch.setattr(pathenum, name, None)
+    with pytest.raises(InfeasibleSizeError, match=f"^{algorithm} at n = {n}, k = {k} replays more than 10,000,000 records$"):
+        exact_subset_distribution(algorithm, n, k)
+
+
+@pytest.mark.parametrize("algorithm", sorted(PATH_COUNTS_6_2))
+def test_the_record_limit_admits_exactly_paths_times_n(monkeypatch, algorithm):
+    records = PATH_COUNTS_6_2[algorithm] * 6
+    monkeypatch.setattr(pathenum, "_MAX_PATH_RECORDS", records - 1)
+    with pytest.raises(InfeasibleSizeError, match=f"^{algorithm} at n = 6, k = 2 replays more than {records - 1:,} records$"):
+        exact_subset_distribution(algorithm, 6, 2)
+    monkeypatch.setattr(pathenum, "_MAX_PATH_RECORDS", records)
+    assert exact_subset_distribution(algorithm, 6, 2) == uniform_subset_reference(6, 2)
+
+
+# the branch rules' own checks, each fed a run that breaks its rule
+
+def test_distinct_draws_refuse_a_draw_off_1_to_n():
+    with pytest.raises(AssertionError, match="^collapsed enumeration expects draws on "):
+        pathenum._enumerate(lambda src: src.randint(4), pathenum._distinct_draws(3, 1, None))
+
+
+def test_vitter_z_branches_refuse_a_slot_draw_off_1_to_k():
+    with pytest.raises(AssertionError, match="^vitter slot draw should be on "):
+        pathenum._enumerate(lambda src: src.randint(3), pathenum._skips_and_slots(4, 2, None))
+
+
+def test_pikk_enumeration_refuses_keys_left_unread(monkeypatch):
+    # a pikk that reads n - 1 of its n keys leaves each chunk's last keys over
+    monkeypatch.setattr(pathenum, "pikk", lambda src, n, k: sampling.pikk(src, n - 1, k))
+    with pytest.raises(AssertionError, match="^pikk left scripted keys unused$"):
+        exact_subset_distribution("pikk", 3, 1)
 
 
 # _enumerate's own checks, fed a custom run and the plain integer branch rule

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_kernels import GENERATORS
 
 from randaudit import sampling
-from randaudit.errors import ScriptedExhaustedError, ShortStreamWarning
+from randaudit.errors import DegenerateStreamError, InfeasibleSizeError, ScriptedExhaustedError, ShortStreamWarning
 from randaudit.generators import HashCounterGenerator, ScriptedGenerator
 from randaudit.integers import DRAW_CHUNK, RandomSource
 from randaudit.sampling import (
@@ -59,6 +59,9 @@ class TestScriptedSource:
         with pytest.raises(IndexError):
             s.fraction()
         assert s.fractions(0) == []
+
+    def test_no_words_are_used(self):
+        assert ScriptedSource(ints=[1]).words_used == 0
 
     def test_out_of_range_value_is_used_up_but_not_counted(self):
         s = ScriptedSource(ints=[5, 2])
@@ -213,8 +216,33 @@ class TestFisherYates:
         assert drawn == expected
         assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
 
+    @pytest.mark.parametrize("n", [7, DRAW_CHUNK, DRAW_CHUNK + 2])
+    def test_two_shuffles_match_per_position_draws(self, n):
+        # count 2 takes the tile (n <= DRAW_CHUNK) or range-slice branch
+        src, oracle = hash_source(f"two-shuffles:{n}"), hash_source(f"two-shuffles:{n}")
+        expected = []
+        for _ in range(2):
+            a = list(range(1, n + 1))
+            for i in range(n - 1, 0, -1):
+                j = oracle.randint(i + 1)
+                a[i], a[j - 1] = a[j - 1], a[i]
+            expected.append(a)
+        assert list(shuffles(src, n, 2)) == expected
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
+
 
 class TestRandomIndices:
+    def test_k0_draws_nothing(self):
+        assert random_indices(ScriptedSource(), 5, 0) == Sample((), 0, 0)
+
+    def test_90n_duplicates_in_a_row_raise_and_one_fewer_do_not(self):
+        # n = 3: runs of 269 duplicates before each new value, the count
+        # starting again at every new value, then a run of 270
+        ints = [1] + [1] * 269 + [2] + [2] * 269 + [3]
+        assert random_indices(ScriptedSource(ints=ints), 3, 3).items == (1, 2, 3)
+        with pytest.raises(DegenerateStreamError, match="^270 duplicate draws in a row$"):
+            random_indices(ScriptedSource(ints=[1] * 271), 3, 2)
+
     def test_exhausting_the_range_gives_a_permutation(self):
         src = hash_source("ri-perm")
         sample = random_indices(src, 5, 5)
@@ -288,6 +316,17 @@ class TestReservoirR:
         sample = reservoir_r(range(100), 4, src)
         assert sample.draws == 96
 
+    def test_records_past_the_first_chunk_match_per_record_draws(self):
+        k, n = 3, DRAW_CHUNK + 10
+        src, oracle = hash_source("rr-chunks"), hash_source("rr-chunks")
+        expected = [1, 2, 3]
+        for t in range(k + 1, n + 1):
+            j = oracle.randint(t)
+            if j <= k:
+                expected[j - 1] = t
+        assert reservoir_r(range(1, n + 1), k, src).items == tuple(expected)
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
+
     def test_inclusion_probability(self):
         src = hash_source("rr-inclusion")
         runs = 10 ** 5
@@ -316,6 +355,10 @@ class TestVitterZ:
         source = RandomSource(ScriptedGenerator([0], width=8, cycles=None))
         sample = vitter_z(range(1, 3 * k), k, source)
         assert (sample.items, sample.words, sample.draws) == (tuple(range(1, k + 1)), 1, 0)
+
+    def test_a_fraction_equal_to_the_product_keeps_that_record(self):
+        # k = 1: at record 2 the product is (2 - 1) / 2, exactly v
+        assert vitter_z([1, 2], 1, ScriptedSource(ints=[1], fractions=[0.5])).items == (2,)
 
     def test_short_stream_flagged(self):
         with pytest.warns(ShortStreamWarning):
@@ -412,6 +455,16 @@ class TestSampleSpec:
         assert by_n == by_stream
         with pytest.raises(ValueError):
             SampleSpec(n=None, k=2, algorithm="vitter_z").run(hash_source("x"))
+
+    def test_max_population_is_taken_and_one_more_refused(self):
+        # k is checked for random_indices and cormen, n for the rest
+        limit = sampling.MAX_POPULATION
+        SampleSpec(n=limit, k=1, algorithm="pikk")
+        SampleSpec(n=1, k=limit, with_replacement=True)
+        with pytest.raises(InfeasibleSizeError, match="^population size n = "):
+            SampleSpec(n=limit + 1, k=1, algorithm="pikk")
+        with pytest.raises(InfeasibleSizeError, match="^sample size k = "):
+            SampleSpec(n=1, k=limit + 1, with_replacement=True)
 
 
 class TestSampleRecord:
