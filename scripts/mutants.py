@@ -73,6 +73,13 @@ TEST_SETS = {
         "tests/test_pathenum.py",
         "tests/test_refusals.py",
     ),
+    "bounds": (
+        "tests/test_bounds.py",
+        "tests/test_stream_contract.py",
+        "tests/test_refusals.py",
+        "tests/test_cli.py",
+        "tests/test_stats.py",
+    ),
 }
 
 COMPARE_FLIPS = {
@@ -93,6 +100,8 @@ BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 # only the speed.
 _SAME_STREAM = "the value moves to the mask kernel's slow branch, which draws the same stream"
 _RUN_LENGTH = "only the runs the plan is cut into change: the same (m, shift) pairs in other zips"
+_ZERO = "both renderings of 0 read only the empty digits, never its exponents"
+_ESTIMATE = "another starting exponent estimate, which the loops correct"
 EQUIVALENT: dict[str, dict[tuple[str, str], str]] = {
     "integers": {
         ("_one_word_kernel.kernel", "m < 1 -> m <= 1"): "m = 1 never gets here: 0 < 1 <= 2**w for every width",
@@ -132,6 +141,30 @@ EQUIVALENT: dict[str, dict[tuple[str, str], str]] = {
         ("shuffles", "n > DRAW_CHUNK -> n >= DRAW_CHUNK"): "shuffles of n = DRAW_CHUNK move to the slice branch",
         ("shuffles", "n - 1 -> n + 1"): "the extra range slices start past the end of the period, so they are empty",
         ("random_indices", "duplicates = 0 -> duplicates = 1"): "the first draw is always new and sets the count to 0",
+    },
+    # _rounded's two exact loops move any starting exponent to the one with
+    # 1 <= num/den < 10, and the digits depend only on that ratio
+    "bounds": {
+        ("_rounded", "('', 0, 0, '') -> ('', 1, 0, '')"): _ZERO,
+        ("_rounded", "('', 0, 0, '') -> ('', 0, 1, '')"): _ZERO,
+        (
+            "_rounded",
+            "(num.bit_length() - den.bit_length()) * 30103 -> (num.bit_length() - den.bit_length()) // 30103",
+        ): _ESTIMATE,
+        ("_rounded", "num.bit_length() - den.bit_length() -> num.bit_length() + den.bit_length()"): _ESTIMATE,
+        (
+            "_rounded",
+            "(num.bit_length() - den.bit_length()) * 30103 -> (num.bit_length() - den.bit_length()) * 30104",
+        ): _ESTIMATE,
+        (
+            "_rounded",
+            "(num.bit_length() - den.bit_length()) * 30103 // 100000 -> "
+            "(num.bit_length() - den.bit_length()) * 30103 // 100001",
+        ): _ESTIMATE,
+        ("_rounded", "e >= 0 -> e > 0"): "at e = 0 the other branch multiplies num by 10**0 = 1",
+        ("_rounded", "e >= 0 -> e >= 1"): "at e = 0 the other branch multiplies num by 10**0 = 1",
+        ("_rounded", "num < den -> num <= den"): "num == den gets one more x10, which the second loop puts on den too",
+        ("_rounded", "fr < 0 -> fr <= 0"): "fr == 0 has returned already",
     },
 }
 

@@ -21,7 +21,6 @@ from .generators import (
     LcgParams,
     Mt19937Generator,
     ScriptedGenerator,
-    Seed,
     WichmannHillGenerator,
     full_period,
     seed_generator,

@@ -84,7 +84,7 @@ def _resolve_seed(args, allow_entropy: bool) -> str:
             return seed
     if allow_entropy:
         value = int.from_bytes(os.urandom(16), "big")
-        if args.prng == "lcg" and args.m > 1:
+        if args.prng == "lcg":
             value %= args.m  # an LCG refuses a seed of m or more
         seed = f"0x{value:032x}"
         print(
@@ -105,6 +105,7 @@ def _build_generator(args, allow_entropy: bool):
         if args.m is None or args.a is None or args.c is None:
             raise ValueError("--prng lcg requires --a, --c and --m")
         fields = {"m": args.m, "a": args.a, "c": args.c}
+        LcgParams(**fields)  # refuses bad flags before any entropy is drawn
     elif given := _given(args, LCG_FLAGS):
         raise ValueError(f"--prng {args.prng} takes no {' or '.join(given)}")
     seed_text = _resolve_seed(args, allow_entropy)

@@ -25,7 +25,6 @@ from typing import Iterator
 from .errors import ScriptedExhaustedError
 
 __all__ = [
-    "Seed",
     "LcgParams",
     "RANDU",
     "full_period",
@@ -42,45 +41,6 @@ __all__ = [
     "load_scripted",
     "load_seed",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Seeds
-
-@dataclass(frozen=True)
-class Seed:
-    """Seed material as raw bytes plus a lossless human-readable form.
-
-    The human form is the UTF-8 text itself when the bytes decode to
-    printable text (and would not be mistaken for the hex escape), and
-    ``hex:<digits>`` otherwise.
-    """
-
-    data: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.data, bytes):
-            raise TypeError("Seed.data must be bytes")
-
-    @classmethod
-    def from_text(cls, text: str) -> "Seed":
-        return cls(text.encode("utf-8"))
-
-    @classmethod
-    def parse(cls, human: str) -> "Seed":
-        if human.startswith("hex:"):
-            return cls(bytes.fromhex(human[4:]))
-        return cls.from_text(human)
-
-    @property
-    def human(self) -> str:
-        try:
-            text = self.data.decode("utf-8")
-        except UnicodeDecodeError:
-            return "hex:" + self.data.hex()
-        if text and text.isprintable() and not text.startswith("hex:"):
-            return text
-        return "hex:" + self.data.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +351,23 @@ def digest_words(
 class HashCounterGenerator(Generator):
     """Counter-mode PRNG over a 256-bit cryptographic hash.
 
-    State is the seed string S plus the number of words emitted.  Output
-    block i, floor(256 / width) words, is Hash(S + "," + str(i)); S is
-    UTF-8 text, the separator a single ASCII comma, and i unpadded ASCII
-    decimal.  The default hash is SHA-256; any hashlib algorithm with a
-    32-byte digest may be swapped in at construction.  Output depends only
-    on (S, i), never on query order.
+    State is the seed text S, any nonempty str, plus the number of words
+    emitted.  Output block i, floor(256 / width) words, is Hash(S + "," +
+    str(i)), with S in UTF-8, the separator a single ASCII comma, and i
+    unpadded ASCII decimal.  S is read literally (``hex:41`` is those six
+    characters) and ``spec()`` records it unchanged.  The default hash is
+    SHA-256; any hashlib algorithm with a 32-byte digest may be swapped in
+    at construction.  Output depends only on (S, i), never on query order.
 
     Each stream hashes S + "," once and keeps that hash state; a block
     copies it and hashes only str(i), as the stream reaches it (no
     read-ahead).
     """
 
-    def __init__(self, seed: Seed | str, width: int = 32, hash_name: str = "sha256"):
-        if isinstance(seed, str):
-            seed = Seed.from_text(seed)
-        elif not isinstance(seed, Seed):
-            raise TypeError(f"a hash_counter seed is a Seed or text, not {type(seed).__name__}")
-        if not seed.data:
+    def __init__(self, seed: str, width: int = 32, hash_name: str = "sha256"):
+        if not isinstance(seed, str):
+            raise TypeError(f"a hash_counter seed is text, not {type(seed).__name__}")
+        if not seed:
             raise ValueError("hash_counter seed must be nonempty")
         self.seed = seed
         self.width = width
@@ -424,7 +383,7 @@ class HashCounterGenerator(Generator):
     def _start(self) -> None:
         # the hash state lives in the stream's closure, never in vars(self),
         # which clone() deep-copies; _block_words checks the hash and width
-        block = _block_words(self.seed.data, self.width, self.hash_name)
+        block = _block_words(self.seed.encode("utf-8"), self.width, self.hash_name)
         # the blocks from the one holding word ``words_emitted`` on, that
         # block cut to its unread words
         first, offset = divmod(self.words_emitted, 256 // self.width)
@@ -436,7 +395,7 @@ class HashCounterGenerator(Generator):
     def spec(self) -> dict:
         return {
             "variant": "hash_counter",
-            "seed": self.seed.human,
+            "seed": self.seed,
             "width": self.width,
             "hash": self.hash_name,
         }
@@ -499,18 +458,13 @@ def _int_seed(seed):
     return int(seed, 16 if seed[1:2] in ("x", "X") else 10)
 
 
-def _hash_counter(seed, width: int = 32, hash: str = "sha256") -> HashCounterGenerator:
-    # a text seed is in Seed.human form, as spec() records it
-    return HashCounterGenerator(Seed.parse(seed) if isinstance(seed, str) else seed, width, hash)
-
-
 # variant -> build(seed, **fields), where fields are the rest of the
 # variant's spec() record; integer seeds may also be given as text
 VARIANTS = {
     "lcg": lambda seed, m, a, c: LcgGenerator(LcgParams(m, a, c), _int_seed(seed)),
     "wichmann_hill": lambda seed: WichmannHillGenerator(_int_seed(seed)),
     "mt19937": lambda seed: Mt19937Generator(_int_seed(seed)),
-    "hash_counter": _hash_counter,
+    "hash_counter": lambda seed, width=32, hash="sha256": HashCounterGenerator(seed, width, hash),
     "scripted": lambda seed, script, width, cycles=1: ScriptedGenerator(script, width, cycles),
 }
 
@@ -518,10 +472,10 @@ VARIANTS = {
 def seed_generator(variant: str, seed, **fields) -> Generator:
     """Build a freshly seeded generator.
 
-    variant: one of lcg | wichmann_hill | mt19937 | hash_counter | scripted.
-    The keywords are the fields of the variant's spec() record: LCGs take
-    m=, a= and c=, hash counters width= and hash=, scripted sources
-    script=, width= and cycles= (and ignore the seed).
+    variant: lcg | wichmann_hill | mt19937 | hash_counter | scripted.  A
+    hash_counter seed is its text, read literally.  The keywords are the
+    variant's spec() fields: LCGs take m=, a= and c=, hash counters width=
+    and hash=, scripted sources script=, width= and cycles= (seed ignored).
     """
     try:
         build = VARIANTS[variant]

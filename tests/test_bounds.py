@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import permutations
 from operator import eq
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randaudit import bounds
 from randaudit.bounds import (
     MAX_BITS,
     attainable_fraction,
@@ -88,6 +90,45 @@ class TestExactCombinatorics:
         with pytest.raises(ValueError):
             rencontres_counts(-1)
 
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, 5), (3, -1), (-1, 0), (-1, -2)])
+    def test_binomial_refuses_k_outside_0_to_n(self, n, k):
+        with pytest.raises(ValueError, match=r"^need 0 <= k <= n$"):
+            binomial(n, k)
+
+    def test_binomial_bounds_its_width_by_the_smaller_side(self):
+        # C(n, n - 1) = n is narrow, though C(n, j) at j = n - 1 > n / 2
+        # would be estimated far past MAX_BITS
+        assert binomial(10 ** 6, 10 ** 6 - 1) == 10 ** 6
+
+    def test_binomial_limit_is_its_estimate(self):
+        # C(n, j) <= (e n / j)**j: at j = 32 that is 32 (log2 n - 3.56)
+        # bits, under MAX_BITS at n = 2**8195 and over it at 2**8196
+        n = 1 << 8195
+        assert binomial(n, 32) == math.prod(range(n - 31, n + 1)) // naive_factorial(32)
+        with pytest.raises(InfeasibleSizeError, match=r"^C\(\d+,32\) is wider"):
+            binomial(2 * n, 32)
+
+    def test_factorial_limit_is_the_last_n_whose_estimate_fits(self):
+        # 20,366! is 262,143 bits wide, 20,367! about 262,157: the limit
+        # falls between them, and an estimate one factor too wide or too
+        # narrow moves it
+        assert factorial(20366).bit_length() == MAX_BITS - 1
+        for n in (20367, MAX_BITS):
+            with pytest.raises(InfeasibleSizeError, match=f"{n}!"):
+                factorial(n)
+
+    def test_exactly_max_bits_is_allowed(self):
+        assert attainable_fraction(MAX_BITS, 1).fraction == 1
+        with pytest.raises(InfeasibleSizeError):
+            attainable_fraction(MAX_BITS + 1, 1)
+
+    def test_rencontres_counts_take_n_up_to_their_limit(self, monkeypatch):
+        # the limit read at a size whose cells are cheap
+        monkeypatch.setattr(bounds, "_MAX_RENCONTRES_N", 6)
+        assert sum(rencontres_counts(6)) == 720
+        with pytest.raises(InfeasibleSizeError, match="n <= 6"):
+            rencontres_counts(7)
+
     @pytest.mark.parametrize("n", [5001, 20000])
     def test_rencontres_counts_refuse_n_past_their_cost(self, n):
         # n! fits in MAX_BITS, but 20,000's cells would take minutes
@@ -160,6 +201,17 @@ class TestRendering:
         # large exponents fall back to scientific notation
         assert decimal_string(123456789, 3) == "1.23e+8"
         assert decimal_string(Fraction(1, 10 ** 15), 3) == "1.00e-15"
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(1, 10 ** 9), "0.00000000100"),
+        (Fraction(1, 10 ** 10), "1.00e-10"),
+        (123456, "123000"),
+        (1234567, "1.23e+6"),
+        (10 ** 6, "1.00e+6"),
+    ])
+    def test_decimal_string_plain_range_ends(self, value, text):
+        # at sig 3, plain for decimal exponents -9 through sig + 2 = 5
+        assert decimal_string(value, 3) == text
 
     def test_renderings_are_pinned(self):
         # SHA-256 over both renderings at sig 1-8: carries (9995, 99995,

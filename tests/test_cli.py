@@ -106,12 +106,13 @@ class TestGen:
         assert from_file == run_cli(capsys, "gen", "--seed", "0x1f", "--count", "3")
         assert from_file[0] == 0
 
-    @pytest.mark.parametrize("text", ["010", "0x1F", "7", "abc"])
+    @pytest.mark.parametrize("text", ["010", "0x1F", "7", "abc", "hex:41", "hex:zz"])
     @pytest.mark.parametrize("prng", sorted(PRNG_FLAGS))
     def test_every_seed_origin_hands_on_the_same_text(self, capsys, monkeypatch, tmp_path, prng, text):
         # --seed, a seed file and RANDAUDIT_SEED give the same stdout, stderr
         # and exit code: the header records the text as given, the hash
-        # counter hashes it, and the integer families read or refuse it
+        # counter hashes it as it is (hex:41 is six characters, not the byte
+        # 0x41), and the integer families read or refuse it
         path = tmp_path / "seed.txt"
         path.write_text(f"# a seed\n{text}\n")
         argv = ["gen", *PRNG_FLAGS[prng], "--count", "2"]
@@ -121,12 +122,15 @@ class TestGen:
         runs.append(run_cli(capsys, *argv))
         assert runs[1:] == runs[:1] * 2
         code, out, err = runs[0]
-        if prng != "hash" and text == "abc":
+        if prng != "hash" and text in ("abc", "hex:41", "hex:zz"):
             assert (code, out) == (USAGE_ERROR, "")
-            assert err == "error: an integer seed is decimal digits or 0x and hex digits, got 'abc'\n"
+            assert err == f"error: an integer seed is decimal digits or 0x and hex digits, got '{text}'\n"
         else:
             assert (code, err) == (0, "")
-            assert json.loads(out.splitlines()[0][2:])["seed"] == text
+            header = json.loads(out.splitlines()[0][2:])
+            assert header["seed"] == text
+            if prng == "hash":
+                assert header["generator"]["seed"] == text
 
     @pytest.mark.parametrize("prng", sorted(PRNG_FLAGS))
     def test_fresh_entropy_names_a_seed_that_replays(self, capsys, monkeypatch, prng):
@@ -141,6 +145,16 @@ class TestGen:
             line,
         ).group(1)
         assert run_cli(capsys, *argv, "--seed", seed) == (0, out, "")
+
+    @pytest.mark.parametrize("m", ["0", "2"])
+    def test_refused_lcg_flags_draw_no_entropy(self, capsys, monkeypatch, m):
+        # m = 0 and a = 5 >= m = 2 are refused before the seed is resolved,
+        # so no fresh-entropy warning names a seed for a run that never starts
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        code, out, err = run_cli(capsys, "gen", "--prng", "lcg", "--a", "5", "--c", "1", "--m", m)
+        assert (code, out) == (USAGE_ERROR, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
 
     @pytest.mark.parametrize("text, value", [("010", 10), ("0x1F", 31), ("0o17", None)])
     def test_seed_text_reads_by_one_rule_from_the_flag_and_a_file(self, capsys, tmp_path, text, value):

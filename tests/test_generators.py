@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randaudit.errors import ScriptedExhaustedError
@@ -17,7 +17,6 @@ from randaudit.generators import (
     LcgParams,
     Mt19937Generator,
     ScriptedGenerator,
-    Seed,
     WichmannHillGenerator,
     digest_words,
     from_spec,
@@ -252,9 +251,8 @@ class TestHashCounter:
 
     def test_seed_5_as_str_or_seed_gives_one_stream(self):
         assert HashCounterGenerator("5").words(2) == [1606890390, 1135496759]
-        assert HashCounterGenerator(Seed(b"5")).words(2) == [1606890390, 1135496759]
         for seed in (5, b"5", 5.0):
-            with pytest.raises(TypeError, match="^a hash_counter seed is a Seed or text, not "):
+            with pytest.raises(TypeError, match="^a hash_counter seed is text, not "):
                 HashCounterGenerator(seed)
 
     def test_nondefault_width(self):
@@ -590,25 +588,27 @@ class TestFractions:
 
 
 class TestSeed:
-    @given(st.text(min_size=1).filter(lambda s: s.isprintable()))
-    def test_text_roundtrip(self, text):
-        s = Seed.from_text(text)
-        assert Seed.parse(s.human) == s
-
-    @given(st.binary(min_size=1))
-    def test_bytes_roundtrip(self, data):
-        s = Seed(data)
-        assert Seed.parse(s.human).data == data
-
     def test_int_seed_is_decimal_text(self):
-        # the integer families read seed text; a Seed holds the hash counter's
+        # the integer families read seed text; the hash counter hashes it
         assert seed_generator("mt19937", "123456").spec()["seed"] == 123456
         with pytest.raises(ValueError):
             seed_generator("mt19937", "-1")
 
-    def test_hex_prefixed_text_is_not_misparsed(self):
-        s = Seed.from_text("hex:cafe")
-        assert Seed.parse(s.human).data == b"hex:cafe"
+    @given(st.text(st.characters(exclude_categories=("Cs",)), min_size=1))
+    @example("hex:41")
+    @example("hex:zz")
+    @example("hex:")
+    @example("a\tb")
+    def test_hash_seed_text_reads_by_one_rule(self, text):
+        # the constructor, seed_generator and from_spec all hash the text's
+        # UTF-8 bytes, and spec() records it unchanged: hex:41 is six
+        # characters, not an escape for the byte 0x41
+        gen = HashCounterGenerator(text)
+        assert gen.spec()["seed"] == text
+        first = list(digest_words(text.encode("utf-8"), 0)[:3])
+        assert gen.words(3) == first
+        assert seed_generator("hash_counter", text).words(3) == first
+        assert from_spec(gen.spec()).words(3) == first
 
 
 class TestFileFormats:

@@ -11,7 +11,6 @@ from randaudit.generators import (
     HashCounterGenerator,
     Mt19937Generator,
     ScriptedGenerator,
-    Seed,
     WichmannHillGenerator,
     digest_words,
     load_seed,
@@ -67,7 +66,6 @@ REFUSED = {
     "floor_sum m = 0": (ValueError, "floor_sum requires", lambda: floor_sum(1, 0, 1, 1)),
     "exact_subset_distribution k = 0": (ValueError, "1 <= k <= n", lambda: exact_subset_distribution("cormen", 3, 0)),
     # generators and seeds
-    "Seed of a str": (TypeError, "must be bytes", lambda: Seed("x")),
     "WichmannHillGenerator seed < 0": (ValueError, "nonnegative", lambda: WichmannHillGenerator(-1)),
     "Mt19937Generator seed < 0": (ValueError, "nonnegative", lambda: Mt19937Generator(-1)),
     "digest_words counter < 0": (ValueError, "nonnegative", lambda: digest_words(b"x", -1)),
