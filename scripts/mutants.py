@@ -137,10 +137,14 @@ EQUIVALENT: dict[str, dict[tuple[str, str], str]] = {
     # shuffles' three branches draw the same ranges in the same order and
     # differ only in how they cut them into randints calls
     "sampling": {
-        ("shuffles", "n <= DRAW_CHUNK -> n < DRAW_CHUNK"): "one shuffle of n = DRAW_CHUNK moves to the tile branch",
         ("shuffles", "n > DRAW_CHUNK -> n >= DRAW_CHUNK"): "shuffles of n = DRAW_CHUNK move to the slice branch",
         ("shuffles", "n - 1 -> n + 1"): "the extra range slices start past the end of the period, so they are empty",
         ("random_indices", "duplicates = 0 -> duplicates = 1"): "the first draw is always new and sets the count to 0",
+        # shuffles(source, n, 1) draws a shuffle of n <= DRAW_CHUNK in the
+        # same one randints call, so moving an n to it changes only speed
+        ("_shuffle", "1 <= n <= DRAW_CHUNK -> 1 < n <= DRAW_CHUNK"): "n = 1 moves to shuffles(source, 1, 1)",
+        ("_shuffle", "1 <= n <= DRAW_CHUNK -> 2 <= n <= DRAW_CHUNK"): "n = 1 moves to shuffles(source, 1, 1)",
+        ("_shuffle", "1 <= n <= DRAW_CHUNK -> 1 <= n < DRAW_CHUNK"): "n = DRAW_CHUNK moves to shuffles(source, n, 1)",
     },
     # _rounded's two exact loops move any starting exponent to the one with
     # 1 <= num/den < 10, and the digits depend only on that ratio

@@ -18,14 +18,14 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, repeat, tee
 from operator import eq
 
 from . import bounds
 from .errors import InfeasibleSizeError
-from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, from_spec, full_period
+from .generators import Generator, HashCounterGenerator, LcgGenerator, LcgParams, _lcg_words, from_spec, full_period
 from .integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value
-from .sampling import SampleSpec, shuffles
+from .sampling import SampleSpec, _shuffle, shuffles
 
 # perfbench/spans.py wraps these by their names in this module
 from .integers import randint_mask  # noqa: F401
@@ -402,8 +402,12 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     """Shuffle {1..n} once from every possible initial register of a toy
     LCG and count the distinct permutations.
 
-    Each shuffle is the one fisher_yates makes: ``shuffles`` with count 1,
-    n-1 mask-reject draws from a RandomSource over the LCG.
+    Each shuffle is the one fisher_yates makes, n-1 mask-reject draws from
+    the LCG started at that register.  The registers are walked orbit by
+    orbit, from the lowest one not yet visited along x -> (a*x + c) mod m
+    to a visited one, and each shuffles from its own ``tee`` copy of the
+    orbit's one word stream, so each word is computed once.  Short cycles,
+    fixed points and merging orbits are walked alike.
 
     The count can never exceed the number of initial states (each run is a
     deterministic function of the register), so the attainable fraction of
@@ -423,11 +427,21 @@ def permutation_coverage(params: LcgParams, n: int) -> AuditReport:
     if not full_period(params):
         flags.append("not_full_period")
     seen = set()
-    for register in range(params.m):
-        [perm] = shuffles(RandomSource(LcgGenerator(params, register)), n, 1)
-        # items are at most 8, so a byte each: up to 2**16 permutations
-        # held in about half the memory of tuples
-        seen.add(bytes(perm))
+    visited = bytearray(params.m)
+    # one source for every shuffle; its generator's stream is swapped per register
+    source = RandomSource(LcgGenerator(params, 0))
+    start = 0
+    while start >= 0:
+        words = _lcg_words(params, [start])
+        register = start
+        while not visited[register]:
+            visited[register] = 1
+            source.gen.stream, words = tee(words)
+            # items are at most 8, so a byte each: up to 2**16 permutations
+            # held in about half the memory of tuples
+            seen.add(bytes(_shuffle(source, n)))
+            register = next(words)
+        start = visited.find(0, start)
 
     total = bounds.factorial(n)
     predicted_max = min(Fraction(1), Fraction(params.m, total))

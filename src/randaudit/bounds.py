@@ -44,9 +44,20 @@ __all__ = [
 MAX_BITS = 1 << 18
 
 
-def _check_bits(bits: float, what: str) -> None:
+def _check_bits(bits: float, what: str, *ints: int) -> None:
+    """Refuse a value wider than MAX_BITS bits.  ``what`` names it with a
+    {} for each of ``ints``, filled in only when it is refused."""
     if bits > MAX_BITS:
-        raise InfeasibleSizeError(f"{what} is wider than the {MAX_BITS}-bit limit for exact values")
+        label = what.format(*map(_int_text, ints))
+        raise InfeasibleSizeError(f"{label} is wider than the {MAX_BITS}-bit limit for exact values")
+
+
+def _int_text(i: int) -> str:
+    """i in decimal, or by sci_string past Python's int-to-text digit limit."""
+    try:
+        return str(i)
+    except ValueError:
+        return sci_string(i)
 
 
 def _check_factorial(n: int) -> None:
@@ -55,7 +66,7 @@ def _check_factorial(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     # n! >= 2**n once n >= 4, so n itself bounds the width from below
-    _check_bits(n if n > MAX_BITS else math.lgamma(n + 1) / math.log(2), f"{n}!")
+    _check_bits(n if n > MAX_BITS else math.lgamma(n + 1) / math.log(2), "{}!", n)
 
 
 def factorial(n: int) -> int:
@@ -69,7 +80,7 @@ def binomial(n: int, k: int) -> int:
     j = min(k, n - k)
     if j:
         # C(n, j) <= (e n / j)**j
-        _check_bits(j * (math.log2(n) - math.log2(j) + math.log2(math.e)), f"C({n},{k})")
+        _check_bits(j * (math.log2(n) - math.log2(j) + math.log2(math.e)), "C({},{})", n, k)
     return math.comb(n, k)
 
 
@@ -191,7 +202,7 @@ def attainable_fraction(state_bits: int, target: int) -> AttainabilityReport:
         raise ValueError("state_bits must be >= 1")
     if target < 1:
         raise ValueError("target must be >= 1")
-    _check_bits(state_bits, f"a {state_bits}-bit state space")
+    _check_bits(state_bits, "a {}-bit state space", state_bits)
     _check_bits(target.bit_length(), "the target")
     states = 1 << state_bits
     fraction = min(Fraction(1), Fraction(states, target))

@@ -174,23 +174,25 @@ def pikk(source, n: int, k: int) -> Sample:
 
 
 def shuffles(source, n: int, count: int):
-    """Yield ``count`` shuffles of [1..n], each a new list.
+    """An iterator of ``count`` shuffles of [1..n], each a new list.
 
     Each shuffle is Fisher-Yates: for i from n-1 down to 1 swap position i
     with a uniform position j in {0..i}, n-1 integer draws and no sort.
-    All the draws are made in the order single shuffles would make them,
-    each call when the shuffle being built first needs it: one shuffle of
-    n <= DRAW_CHUNK in one randints call, more in calls of a RangeTile of
+    n is checked at the call; no draw is made before the iterator is
+    advanced.  All the draws are made in the order single shuffles would
+    make them, each call when the shuffle being built first needs it:
+    shuffles of n <= DRAW_CHUNK in calls of a RangeTile of
     DRAW_CHUNK // (n - 1) whole shuffles (the last call shorter), built
     once, and each shuffle of n > DRAW_CHUNK in range slices of DRAW_CHUNK.
+    Each shuffle is a copy of one identity list swapped by _swap, the loop
+    that fisher_yates' single shuffle (_shuffle) runs too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_population(n)
     period = range(n, 1, -1)
-    if n == 1 or count == 1 and n <= DRAW_CHUNK:
-        # one call of at most one shuffle's draws: the list needs no iterator
-        draws = source.randints(period)
+    if n == 1:
+        draws = ()  # no position to swap
     elif n > DRAW_CHUNK:
         slices = [period[i : i + DRAW_CHUNK] for i in range(0, n - 1, DRAW_CHUNK)]
         draws = chain.from_iterable(map(source.randints, chain.from_iterable(repeat(slices, count))))
@@ -200,14 +202,28 @@ def shuffles(source, n: int, count: int):
         tile = RangeTile(chain.from_iterable(repeat(period, DRAW_CHUNK // (n - 1))))
         full, rest = divmod(count * (n - 1), len(tile))
         draws = chain.from_iterable(map(source.randints, chain(repeat(tile, full), [RangeTile(tile[:rest])])))
-    positions = range(n - 1, 0, -1)
-    identity = list(range(1, n + 1))
-    for _ in range(count):
-        a = identity[:]
-        # zip stops at the end of positions before taking another draw
-        for i, j in zip(positions, draws):
-            a[i], a[j - 1] = a[j - 1], a[i]
-        yield a
+    # map calls _swap from C, without a generator frame to resume per shuffle
+    copies = map(list.copy, repeat(list(range(1, n + 1)), count))
+    return map(_swap, copies, repeat(range(n - 1, 0, -1)), repeat(draws))
+
+
+def _swap(a: list, positions, draws) -> list:
+    """a with position i swapped with position j - 1, for each i of
+    positions and the next j of draws in turn."""
+    # zip stops at the end of positions before taking another draw
+    for i, j in zip(positions, draws):
+        a[i], a[j - 1] = a[j - 1], a[i]
+    return a
+
+
+def _shuffle(source, n: int) -> list[int]:
+    """One shuffle of [1..n], drawn as ``shuffles(source, n, 1)`` draws it;
+    n <= DRAW_CHUNK takes its one randints call directly, with no tile and
+    no iterators to build."""
+    if not 1 <= n <= DRAW_CHUNK:
+        [a] = shuffles(source, n, 1)
+        return a
+    return _swap(list(range(1, n + 1)), range(n - 1, 0, -1), source.randints(range(n, 1, -1)))
 
 
 def fisher_yates(source, n: int) -> Sample:
@@ -219,8 +235,7 @@ def fisher_yates(source, n: int) -> Sample:
 def _shuffle_prefix(source, n: int, k: int) -> Sample:
     """The first k items of one shuffle of (1..n)."""
     w0, d0 = source.words_used, source.draws
-    [shuffle] = shuffles(source, n, 1)
-    return _sample(source, w0, d0, shuffle[:k])
+    return _sample(source, w0, d0, _shuffle(source, n)[:k])
 
 
 def random_indices(source, n: int, k: int, with_replacement: bool = False) -> Sample:

@@ -3,12 +3,14 @@ import inspect
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from randaudit import audit, sampling
 from randaudit.audit import (
     EXPERIMENTS,
     MURDOCH_M,
@@ -28,11 +30,13 @@ from randaudit.bounds import derangement_count
 from randaudit.errors import InfeasibleSizeError
 from randaudit.generators import (
     HashCounterGenerator,
+    LcgGenerator,
     LcgParams,
     Mt19937Generator,
     ScriptedGenerator,
 )
-from randaudit.integers import DRAW_CHUNK, floor_even_probability, floor_value
+from randaudit.integers import DRAW_CHUNK, RandomSource, floor_even_probability, floor_value
+from randaudit.sampling import shuffles
 
 
 class TestMurdoch:
@@ -146,6 +150,35 @@ class TestCoverage:
             permutation_coverage(LcgParams(m=2 ** 17, a=5, c=1), 4)
         with pytest.raises(InfeasibleSizeError):
             permutation_coverage(LcgParams(m=256, a=5, c=1), 9)
+
+    @pytest.mark.parametrize(
+        "params,n",
+        [
+            (LcgParams(m=256, a=5, c=1), 6),  # full period
+            (LcgParams(m=256, a=5, c=0), 5),  # short cycles and the fixed point 0
+            (LcgParams(m=256, a=4, c=2), 5),  # not injective: orbits merge
+            (LcgParams(m=97, a=13, c=5), 4),
+            (LcgParams(m=100, a=21, c=17), 5),
+        ],
+    )
+    def test_orbit_walk_draws_every_register_once(self, params, n, monkeypatch):
+        # the walk's shuffles, as a multiset, are one per register of a
+        # direct run from each register in turn
+        drawn = Counter()
+
+        def shuffle(source, n):
+            perm = sampling._shuffle(source, n)
+            drawn[bytes(perm)] += 1
+            return perm
+
+        monkeypatch.setattr(audit, "_shuffle", shuffle)
+        r = permutation_coverage(params, n)
+        direct = Counter(
+            bytes(next(shuffles(RandomSource(LcgGenerator(params, x)), n, 1))) for x in range(params.m)
+        )
+        assert drawn == direct
+        assert drawn.total() == params.m
+        assert r.observed["distinct_permutations"] == len(direct)
 
     @pytest.mark.parametrize(
         "params,n",

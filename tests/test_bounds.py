@@ -108,6 +108,17 @@ class TestExactCombinatorics:
         with pytest.raises(InfeasibleSizeError, match=r"^C\(\d+,32\) is wider"):
             binomial(2 * n, 32)
 
+    def test_sizes_past_the_int_to_text_limit_are_checked_not_printed(self):
+        # n has 39,457 digits, past Python's default limit of 4,300 for
+        # int-to-text; C(n, 2) is 262,143 bits wide and fits
+        n = 1 << 131071
+        assert binomial(n, 2) == n * (n - 1) // 2
+        for refused in (factorial, derangement_count):
+            with pytest.raises(InfeasibleSizeError, match=r"^1\.00e\+5000! is wider"):
+                refused(10 ** 5000)
+        with pytest.raises(InfeasibleSizeError, match=r"^a 1\.00e\+5000-bit state space"):
+            attainable_fraction(10 ** 5000, 1)
+
     def test_factorial_limit_is_the_last_n_whose_estimate_fits(self):
         # 20,366! is 262,143 bits wide, 20,367! about 262,157: the limit
         # falls between them, and an estimate one factor too wide or too

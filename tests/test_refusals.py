@@ -21,6 +21,7 @@ from randaudit.pathenum import exact_subset_distribution
 from randaudit.sampling import (
     SampleSpec,
     cormen_sample,
+    fisher_yates,
     pikk,
     random_indices,
     reservoir_r,
@@ -41,6 +42,8 @@ REFUSED = {
     # samplers: k > n, an empty population, a negative sample, k = 0
     "pikk k > n": (ValueError, "0 <= k <= n", lambda: pikk(source(), 3, 4)),
     "shuffles n = 0": (ValueError, "n must be >= 1", lambda: next(shuffles(source(), 0, 1))),
+    "fisher_yates n = 0": (ValueError, "n must be >= 1", lambda: fisher_yates(source(), 0)),
+    "fisher_yates n = -1": (ValueError, "n must be >= 1", lambda: fisher_yates(source(), -1)),
     "random_indices n = 0": (ValueError, "n >= 1 and k >= 0", lambda: random_indices(source(), 0, 1)),
     "random_indices k < 0": (ValueError, "n >= 1 and k >= 0", lambda: random_indices(source(), 5, -1)),
     "cormen k > n": (ValueError, "0 <= k <= n", lambda: cormen_sample(source(), 3, 4)),

@@ -194,6 +194,25 @@ class TestFisherYates:
         assert shuffle == a
         assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
 
+    @pytest.mark.parametrize("method", ["mask", "floor", "round"])
+    @pytest.mark.parametrize("n", [1, 2, 8, DRAW_CHUNK, DRAW_CHUNK + 1])
+    def test_single_shuffle_path_draws_as_shuffles_does(self, method, n):
+        # n <= DRAW_CHUNK takes one randints call directly, shuffles a tile
+        src = RandomSource(HashCounterGenerator(f"single:{n}"), method)
+        oracle = RandomSource(HashCounterGenerator(f"single:{n}"), method)
+        [expected] = shuffles(oracle, n, 1)
+        assert fisher_yates(src, n) == Sample(tuple(expected), oracle.words_used, oracle.draws, 32 * oracle.words_used)
+        assert sampling._shuffle(src, n) == next(shuffles(oracle, n, 1))
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, DRAW_CHUNK, DRAW_CHUNK + 1])
+    def test_shuffles_draw_nothing_before_a_shuffle_is_taken(self, n):
+        src = hash_source(f"lazy:{n}")
+        perms = shuffles(src, n, 1)
+        assert (src.words_used, src.draws) == (0, 0)
+        next(perms)
+        assert src.draws == n - 1
+
     @pytest.mark.parametrize("gen", ["hash_counter/32", "hash_counter/8"])
     @pytest.mark.parametrize("n", [1, 2, 7, DRAW_CHUNK + 1])
     def test_many_shuffles_match_per_position_draws(self, gen, n):
