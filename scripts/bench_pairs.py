@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Run one benchmark workload in alternating parent/change pairs and
+"""Run benchmark workloads in alternating parent/change pairs and
 summarise each end-to-end metric by the rule for claiming a gain.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --workload murdoch --pairs 10 --seed 500
 
-Pair i runs perfbench/run.py from both source checkouts with seed
+``--workload`` may be given more than once; without it every workload of
+the change's BENCHMARK.json runs, in its order.  Each workload runs all
+its pairs before the next starts and prints its own block.  Pair i of a
+workload runs perfbench/run.py from both source checkouts with seed
 ``--seed + i`` and the ``run_seconds`` of the change's BENCHMARK.json;
 the parent goes first in even pairs and the change in odd ones.  The two
 checkouts' absolute paths must have the same length, because the path's
@@ -102,7 +105,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="source checkout of the parent commit")
     parser.add_argument("--change", required=True, help="source checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", help="a workload to run; repeat for more (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
@@ -119,24 +122,28 @@ def main(argv=None) -> int:
             return 2
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or known
+    if unknown := [w for w in workloads if w not in known]:
+        parser.error(f"unknown workload {unknown[0]!r} (BENCHMARK.json has {', '.join(known)})")
 
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        sides = (parent, change) if i % 2 == 0 else (change, parent)
-        try:
-            results = {side: run_side(side, args.workload, seed, spec["run_seconds"]) for side in sides}
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        pairs.append((results[parent], results[change]))
-        failed = [results[side]["failed"] for side in (parent, change)]
-        print(f"# pair {i + 1}/{args.pairs} seed {seed}, {'parent' if i % 2 == 0 else 'change'} first, "
-              f"failed operations parent {failed[0]} change {failed[1]}", flush=True)
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-          "median [Q1, Q3]")
-    for row in summarise(pairs, spec["end_to_end"]):
-        print(render(row))
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            sides = (parent, change) if i % 2 == 0 else (change, parent)
+            try:
+                results = {side: run_side(side, workload, seed, spec["run_seconds"]) for side in sides}
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            pairs.append((results[parent], results[change]))
+            failed = [results[side]["failed"] for side in (parent, change)]
+            print(f"# {workload} pair {i + 1}/{args.pairs} seed {seed}, {'parent' if i % 2 == 0 else 'change'} "
+                  f"first, failed operations parent {failed[0]} change {failed[1]}", flush=True)
+        print(f"{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, median [Q1, Q3]")
+        for row in summarise(pairs, spec["end_to_end"]):
+            print(render(row))
     return 0
 
 

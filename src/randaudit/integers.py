@@ -26,9 +26,9 @@ Samplers draw through a draw source.  The protocol is two sequence calls
 and their one-element cases: ``randints(ranges)`` (a list, one draw per
 range) with ``randint(m)``, and ``fractions(count)`` (a list of count
 fractions in [0, 1), word / 2**width over a generator, 0 included) with
-``fraction()``.  RandomSource implements it over a generator, and
-sampling.ScriptedSource over scripted outcomes, which is also how the
-path enumeration replays each path.
+``fraction()``.  A sampler reads what a call returns and never changes
+it.  RandomSource implements the protocol over a generator, and
+sampling.ScriptedSource over scripted outcomes.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _range_runs(r: range, w: int):
 
 
 # plans of ranges of at most 64, which callers draw again and again (a
-# shuffle of n <= 8 draws range(n, 1, -1)), in a bounded cache
+# cormen sample of k <= 64 draws range(n - k + 1, n + 1)), in a bounded cache
 _short_range_plan = lru_cache(maxsize=64)(lambda r, w: tuple(chain.from_iterable(_range_runs(r, w))))
 
 

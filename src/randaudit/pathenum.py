@@ -3,18 +3,18 @@
 The harness runs the real algorithm implementations over every possible
 sequence of draw outcomes, weighting each path by its exact probability,
 and accumulates the induced distribution as exact rationals.  A path
-is the draws made so far, as two tuples in the order drawn: integer
-entries (value, m) and fraction entries.  The algorithm replays a path
-through a sampling.ScriptedSource that reads those entries in place.
-When the replay runs out inside a call, the call has already named
-every range it wants, so the search branches over those pending ranges
-one draw at a time without running the algorithm again.  The algorithm
-is replayed once per complete path, and once more wherever a path ends
-just before a new call.  The branch rules give each draw's mass as an
-integer pair, each path carries its mass as an unreduced integer pair,
-and the rationals are formed once per outcome at the end.  An
-enumeration whose closed-form count of complete paths is above MAX_PATHS,
-or whose paths times n is above 10**7, is refused before any replay.
+is the draw calls made so far, each whole: what the call asked for (its
+list of ranges, or its count of fractions) and the values it got back.
+The algorithm replays a path through a source that hands back each
+recorded call's values; a call past the end of the path has named all
+it wants, so the search branches over that call's completions, each
+replayed as it comes and none held in a list.  The algorithm is replayed
+once per complete path, and once more wherever a path ends just before a
+new call.  The branch rules give each completion's mass as an integer
+pair, each path carries its mass as an unreduced integer pair, and the
+rationals are formed once per outcome at the end.  An enumeration whose
+closed-form count of complete paths is above MAX_PATHS, or whose paths
+times n is above 10**7, is refused before any replay.
 
 Where an algorithm consumes a uniform integer on {1..m}, the branch is
 over the m values with probability 1/m each: for mask-reject on IID
@@ -82,61 +82,92 @@ __all__ = [
 
 
 class _NeedDraw(Exception):
-    """The replayed path ran out at a draw.  ``ranges`` lists what the
-    call still wants, starting with the draw it ran out on: m for an
-    integer on {1..m}, None for a fraction."""
+    """The replayed path ran out at a call; ``want`` is what the call
+    asks for: its list of ranges for ``randints``, its count for
+    ``fractions``."""
 
-    def __init__(self, ranges):
-        self.ranges = ranges
+    def __init__(self, want):
+        self.want = want
 
 
-class _Replay(ScriptedSource):
-    """Replays a path: its integer entries (value, m) are read in place,
-    its fraction entries (v, t) give v; running out raises _NeedDraw."""
+class _Replay:
+    """Draw source over a path of whole calls (want, values): each call
+    must ask for exactly its recorded want and gets its values back whole;
+    a call past the end of the path raises _NeedDraw."""
 
-    def __init__(self, ints, fracs):
-        # only vitter_z paths hold fractions; integer entries are not copied
-        self._ints, self._fracs = ints, [v for v, _ in fracs] if fracs else []
-        self._ipos = self._fpos = self.draws = 0
+    width = words_used = 0
 
-    def _ran_out(self, ranges):
-        raise _NeedDraw(ranges)
+    def __init__(self, path):
+        self._path = path
+        self._pos = self.draws = 0
+
+    def _call(self, want):
+        pos = self._pos
+        if pos == len(self._path):
+            raise _NeedDraw(want)
+        recorded, values = self._path[pos]
+        if recorded != want:
+            raise AssertionError("replay diverged from recorded draw sequence")
+        self._pos = pos + 1
+        return values
+
+    def randints(self, ranges):
+        want = list(ranges)
+        values = self._call(want) if want else want
+        self.draws += len(values)
+        return values
+
+    def randint(self, m: int) -> int:
+        return self.randints((m,))[0]
+
+    def fractions(self, count: int):
+        return self._call(count) if count > 0 else []
+
+    def fraction(self) -> float:
+        return self.fractions(1)[0]
+
+    def fully_consumed(self) -> bool:
+        return self._pos == len(self._path)
 
 
 def _enumerate(run, branch):
     """DFS over the draw paths of ``run(source) -> outcome``.
 
-    A path is two tuples in the order drawn: integer entries (value, m)
-    and fraction entries (v, t), where t is whatever state the branch rule
-    keeps for the next fraction.  ``branch(m, ints, fracs)`` lists the
-    (entry, num, den) triples that extend the path at its next draw (m as
-    in _NeedDraw), each with the positive probability num/den.  A stack
-    entry holds a path, the ranges its call still wants and the path mass
-    as an integer pair num/den; an entry with ranges pending branches on
-    the next one directly, and only an entry with none pending is
-    replayed.  Returns {outcome: Fraction} in order of first appearance;
-    the masses sum to exactly 1.
+    A path is a tuple of whole draw calls (want, values), in the order
+    made.  ``branch(want, path)`` gives, lazily and in visit order, the
+    (values, num, den) completions of the call that runs out after
+    ``path``, each with the positive probability num/den.  A stack frame
+    holds a path, its mass as an unreduced integer pair num/den, the call
+    it runs out at and that call's remaining completions.  Each completion
+    is replayed as it comes, and only one that runs out at a further call
+    pushes a frame.  Returns {outcome: Fraction} in order of first
+    appearance; the masses sum to exactly 1.
     """
     sums: dict = defaultdict(int)
-    stack = [((), (), (), 1, 1)]
+    stack: list = []
+
+    def visit(path, num, den) -> bool:
+        """Replay ``path``: count its outcome, or push a frame for the call
+        it runs out at and return True."""
+        src = _Replay(path)
+        try:
+            outcome = run(src)
+        except _NeedDraw as need:
+            stack.append((path, num, den, need.want, iter(branch(need.want, path))))
+            return True
+        if not src.fully_consumed():
+            raise AssertionError("algorithm finished without using all draws")
+        sums[outcome, den] += num
+        return False
+
+    visit((), 1, 1)
     while stack:
-        ints, fracs, pending, num, den = stack.pop()
-        if not pending:
-            src = _Replay(ints, fracs)
-            try:
-                outcome = run(src)
-            except _NeedDraw as need:
-                pending = need.ranges
-            else:
-                if not src.fully_consumed():
-                    raise AssertionError("algorithm finished without using all draws")
-                sums[outcome, den] += num
-                continue
-        m, rest = pending[0], pending[1:]
-        if m is None:
-            stack += [(ints, fracs + (e,), rest, num * a, den * b) for e, a, b in branch(m, ints, fracs)]
+        path, num, den, want, completions = stack[-1]
+        for values, a, b in completions:
+            if visit(path + ((want, values),), num * a, den * b):
+                break
         else:
-            stack += [(ints + (e,), fracs, rest, num * a, den * b) for e, a, b in branch(m, ints, fracs)]
+            stack.pop()
     results: dict = {}
     for (outcome, den), num in sums.items():
         results[outcome] = results.get(outcome, 0) + Fraction(num, den)
@@ -147,7 +178,9 @@ def _enumerate(run, branch):
 
 
 # Branch rules, built from (n, k, draw_dist).  draw_dist(m) -> {value:
-# Fraction} is the per-draw distribution, uniform when omitted.
+# Fraction} is the per-draw distribution, uniform when omitted.  Each
+# gives a draw's values last first: that visit order fixes the order of
+# the result dicts, which the stream-contract digests pin.
 
 def _uniform(m: int) -> dict[int, Fraction]:
     p = Fraction(1, m)
@@ -160,14 +193,22 @@ def _draw_model(draw_dist, m: int) -> dict[int, Fraction]:
 
 
 def _int_draws(n, k, draw_dist):
-    """Every integer draw on {1..m} branches over the values of positive
-    mass under draw_dist(m), listed once per m."""
+    """A call of integer draws branches over every tuple of values of
+    positive mass under draw_dist(m), one per range; each range's values
+    and masses are listed once per m."""
 
     @functools.cache
-    def entries(m):
-        return [((v, m), p.numerator, p.denominator) for v, p in _draw_model(draw_dist, m).items() if p]
+    def model(m):
+        """The values of positive mass, last first, their masses'
+        numerators and their denominators, as three tuples."""
+        return tuple(zip(*[(v, p.numerator, p.denominator) for v, p in _draw_model(draw_dist, m).items() if p][::-1]))
 
-    return lambda m, ints, fracs: entries(m)
+    def branch(want, path):
+        values, nums, dens = zip(*map(model, want))
+        masses = (map(math.prod, itertools.product(*factors)) for factors in (nums, dens))
+        return zip(itertools.product(*values), *masses)
+
+    return branch
 
 
 def _distinct_draws(n, k, draw_dist):
@@ -180,13 +221,18 @@ def _distinct_draws(n, k, draw_dist):
     weights = {v: p.numerator * (d // p.denominator) for v, p in base.items() if p}
     if len(weights) < k:
         raise ValueError(f"draw_dist({n}) puts positive mass on fewer than k = {k} values")
+    last_first = list(weights)[::-1]
 
-    def branch(m, ints, fracs):
-        if m != n:
+    def branch(want, path):
+        if want.count(n) != len(want):
             raise AssertionError("collapsed enumeration expects draws on {1..n}")
-        seen = {v for v, _ in ints}
+        seen = {v for _, values in path for v in values}
         rest = d - sum(weights[s] for s in seen)
-        return [((v, n), a, rest) for v, a in weights.items() if v not in seen]
+        for values in itertools.permutations([v for v in last_first if v not in seen], len(want)):
+            num, den, left = 1, 1, rest
+            for v in values:
+                num, den, left = num * weights[v], den * left, left - weights[v]
+            yield values, num, den
 
     return branch
 
@@ -208,21 +254,29 @@ def _skip_cells(k: int, t: int, remaining: int):
 
 
 def _skips_and_slots(n, k, draw_dist):
-    """vitter_z: a fraction branches over the exact skip cells, and its
-    entry (v, t) records t, the records seen once the skip's record is
-    kept; a slot draw is uniform on {1..k}.  Both lists are built once,
-    the cells once per t."""
+    """vitter_z draws one fraction or one slot per call.  A fraction
+    branches over the exact skip cells at t, the records seen; the rule
+    keeps the t each cell leads to, the records seen once its skip's
+    record is kept, by the identity of the cell's values, which its cache
+    holds.  A slot draw is uniform on {1..k}.  Both are listed once, the
+    cells once per t."""
+    t_after: dict[int, int] = {}
 
     @functools.cache
     def skips(t):
-        return [((v, t + s + 1), p.numerator, p.denominator) for s, p, v in _skip_cells(k, t, n - t) if p]
+        cells = []
+        for s, p, v in _skip_cells(k, t, n - t):
+            if p:
+                cells.append(((v,), p.numerator, p.denominator))
+                t_after[id(cells[-1][0])] = t + s + 1
+        return cells[::-1]
 
-    slots = [((v, k), 1, k) for v in range(1, k + 1)]
+    slots = [((v,), 1, k) for v in range(k, 0, -1)]
 
-    def branch(m, ints, fracs):
-        if m is None:
-            return skips(fracs[-1][1] if fracs else k)
-        if m != k:
+    def branch(want, path):
+        if want == 1:
+            return skips(next((t_after[id(values)] for w, values in reversed(path) if w == 1), k))
+        if want != [k]:
             raise AssertionError("vitter slot draw should be on {1..k}")
         return slots
 

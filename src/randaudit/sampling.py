@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -66,47 +67,34 @@ class Sample(NamedTuple):
 
 
 class ScriptedSource:
-    """Draw source with pre-decided outcomes, for traced tests and demos,
-    and the replay source of the path enumeration.
+    """Draw source with pre-decided outcomes, for traced tests and demos.
 
     randints reads the next value of ``ints`` per range (each value is
     checked against its range, and a value out of range is still used up);
     fractions(count) reads the next count of ``fractions``.  Running out
-    calls ``_ran_out`` with the ranges the call still wants (None for a
-    fraction), after the values that were left are used up; here it raises
-    IndexError.  Word accounting is zero since no generator sits underneath.
-
-    Both scripts are read in place through a cursor each.  An integer
-    entry is a pair (value, m): a value given here records no range (m is
-    None), and an entry that records m must be drawn on exactly that
-    range, else the replay has diverged.
+    raises IndexError, after the values that were left are used up.  Word
+    accounting is zero since no generator sits underneath.  Both scripts
+    are read through a cursor each.
     """
 
     width = 0
 
     def __init__(self, ints=(), fractions=()):
-        self._ints = [(v, None) for v in ints]
+        self._ints = list(ints)
         self._fracs = list(fractions)
         self._ipos = self._fpos = 0
         self.draws = 0
 
-    def _ran_out(self, ranges):
-        raise IndexError("scripted draws exhausted")
-
     def randints(self, ranges) -> list[int]:
         ints, pos, out = self._ints, self._ipos, []
-        it = iter(ranges)
         try:
-            for m in it:
+            for m in ranges:
                 if pos == len(ints):
-                    self._ran_out([m, *it])
-                v, recorded = ints[pos]
+                    raise IndexError("scripted draws exhausted")
+                v = ints[pos]
                 pos += 1
-                if recorded != m:
-                    if recorded is not None:
-                        raise AssertionError("replay diverged from recorded draw sequence")
-                    if not 1 <= v <= m:
-                        raise ValueError(f"scripted draw {v} outside 1..{m}")
+                if not 1 <= v <= m:
+                    raise ValueError(f"scripted draw {v} outside 1..{m}")
                 out.append(v)
         finally:
             self._ipos = pos
@@ -121,7 +109,7 @@ class ScriptedSource:
         out = self._fracs[pos : pos + max(count, 0)]
         self._fpos = pos + len(out)
         if len(out) < count:
-            self._ran_out([None] * (count - len(out)))
+            raise IndexError("scripted draws exhausted")
         return out
 
     def fraction(self) -> float:
@@ -216,14 +204,23 @@ def _swap(a: list, positions, draws) -> list:
     return a
 
 
+@lru_cache(maxsize=64)
+def _shuffle_plan(n: int):
+    """The identity list, the swap positions and the draw ranges of one
+    shuffle of [1..n], kept per n in a bounded cache; the ranges are a
+    RangeTile, so the mask kernel keeps their plan too."""
+    return list(range(1, n + 1)), range(n - 1, 0, -1), RangeTile(range(n, 1, -1))
+
+
 def _shuffle(source, n: int) -> list[int]:
     """One shuffle of [1..n], drawn as ``shuffles(source, n, 1)`` draws it;
-    n <= DRAW_CHUNK takes its one randints call directly, with no tile and
-    no iterators to build."""
+    n <= DRAW_CHUNK takes its one randints call directly, over a copy of
+    the cached identity list."""
     if not 1 <= n <= DRAW_CHUNK:
         [a] = shuffles(source, n, 1)
         return a
-    return _swap(list(range(1, n + 1)), range(n - 1, 0, -1), source.randints(range(n, 1, -1)))
+    identity, positions, ranges = _shuffle_plan(n)
+    return _swap(identity.copy(), positions, source.randints(ranges))
 
 
 def fisher_yates(source, n: int) -> Sample:

@@ -2,6 +2,8 @@
 perfbench/run.py results; no benchmark is run."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,59 @@ def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     result = bench_pairs.run_side(str(tmp_path), "murdoch", 1, 1)
     assert result == {"correct": True, "flag": "1"}
     assert bench_pairs.bytecode_cache(str(tmp_path)) is None
+
+
+def two_checkouts(tmp_path, workloads=("w1", "w2", "w3")):
+    """Parent "a" and change "b", whose BENCHMARK.json lists ``workloads``;
+    returns the arguments that name them, for two pairs from seed 7."""
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    bench = {"run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": METRICS}
+    (tmp_path / "b" / "BENCHMARK.json").write_text(json.dumps(bench))
+    return ["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"), "--seed", "7", "--pairs", "2"]
+
+
+def canned_runs(monkeypatch):
+    """Replace run_side by a canned result; returns the (side, workload,
+    seed) of each run as it is made."""
+    runs = []
+
+    def run_side(checkout, workload, seed, seconds):
+        runs.append((os.path.basename(checkout), workload, seed))
+        return result(1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    return runs
+
+
+def blocks(out):
+    return [line.split(":")[0] for line in out.splitlines() if ": 2 pairs, seeds 7-8" in line]
+
+
+def test_without_a_workload_every_workload_runs_in_benchmark_order(tmp_path, monkeypatch, capsys):
+    runs = canned_runs(monkeypatch)
+    assert bench_pairs.main(two_checkouts(tmp_path)) == 0
+    assert [w for _, w, _ in runs] == ["w1"] * 4 + ["w2"] * 4 + ["w3"] * 4
+    out = capsys.readouterr().out
+    assert blocks(out) == ["w1", "w2", "w3"]
+    assert out.count("wall_s ") == out.count("score ") == 3
+
+
+def test_a_repeated_workload_runs_each_named_one_in_turn(tmp_path, monkeypatch, capsys):
+    runs = canned_runs(monkeypatch)
+    argv = two_checkouts(tmp_path) + ["--workload", "w3", "--workload", "w1"]
+    assert bench_pairs.main(argv) == 0
+    # each workload's pairs alternate which side goes first, from seed 7
+    order = [("a", 7), ("b", 7), ("b", 8), ("a", 8)]
+    assert runs == [(side, w, seed) for w in ("w3", "w1") for side, seed in order]
+    assert blocks(capsys.readouterr().out) == ["w3", "w1"]
+
+
+def test_an_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    runs = canned_runs(monkeypatch)
+    argv = two_checkouts(tmp_path) + ["--workload", "w1", "--workload", "w9"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "unknown workload 'w9' (BENCHMARK.json has w1, w2, w3)" in capsys.readouterr().err
+    assert runs == []

@@ -20,6 +20,7 @@ from randaudit.pathenum import (
     uniform_subset_reference,
 )
 from randaudit.sampling import SampleSpec, ScriptedSource, fisher_yates, reservoir_r, vitter_z
+from test_sampling import PROTOCOL
 
 
 @pytest.mark.parametrize("algorithm", ENUMERABLE_ALGORITHMS)
@@ -134,35 +135,58 @@ def test_vitter_z_skip_cells_are_wider_than_float_error():
 
 
 def test_replay_randints_branches_at_the_first_unscripted_draw():
-    src = _Replay(((3, 5), (1, 4)), ())
+    # a recorded call comes back whole; the next call is reported whole
+    values = (3, 1)
+    src = _Replay((([5, 4], values),))
+    assert src.randints([]) == []  # no ranges: no call
+    assert src.randints(range(5, 3, -1)) is values
+    assert src.draws == 2
+    assert src.fully_consumed()
     with pytest.raises(_NeedDraw) as need:
-        src.randints([5, 4, 3, 2])
-    assert need.value.ranges == [3, 2]
+        src.randints([3, 2])
+    assert need.value.want == [3, 2]
     assert src.draws == 2
     assert src.fully_consumed()
 
 
+@pytest.mark.parametrize("ranges", [[5, 3], [5], [5, 4, 2], [4, 5]])
+def test_replay_refuses_a_call_that_asks_for_other_ranges(ranges):
+    src = _Replay((([5, 4], (3, 1)),))
+    with pytest.raises(AssertionError, match="diverged"):
+        src.randints(ranges)
+    assert src.draws == 0
+
+
 def test_replay_reports_the_rest_of_an_iterator_of_ranges():
-    src = _Replay(((2, 4),), ())
+    src = _Replay((([4], (2,)),))
+    assert src.randint(4) == 2
     with pytest.raises(_NeedDraw) as need:
         src.randints(itertools.repeat(4, 3))
-    assert need.value.ranges == [4, 4]
+    assert need.value.want == [4, 4, 4]
 
 
 def test_replay_fraction_reports_one_fraction():
     with pytest.raises(_NeedDraw) as need:
-        _Replay((), ()).fraction()
-    assert need.value.ranges == [None]
+        _Replay(()).fraction()
+    assert need.value.want == 1
 
 
-def test_replay_fractions_report_one_none_per_missing_fraction():
-    src = _Replay((), ((0.25, 3), (0.5, 5)))
+def test_replay_defines_the_whole_draw_protocol():
+    assert all(hasattr(_Replay(()), name) for name in PROTOCOL)
+
+
+def test_replay_fractions_report_the_whole_count():
+    src = _Replay(((1, (0.25,)), (3, (0.5, 0.125, 0.75))))
+    # no count: no call, so the recorded calls still come in order
     assert src.fractions(0) == src.fractions(-2) == []
-    assert src.fractions(1) == [0.25]
+    assert src.fractions(1) == (0.25,)
+    with pytest.raises(AssertionError, match="diverged"):
+        src.fractions(2)
+    assert src.fractions(3) == (0.5, 0.125, 0.75)
+    assert src.fully_consumed()
     with pytest.raises(_NeedDraw) as need:
         src.fractions(4)
-    assert need.value.ranges == [None] * 3
-    assert src.fully_consumed()
+    assert need.value.want == 4
     assert src.draws == 0
 
 
@@ -255,7 +279,7 @@ def test_exactly_k_positive_draw_values_are_drawn_in_every_order():
 )
 def test_too_few_positive_draw_values_are_refused_before_any_replay(monkeypatch, n, k, model):
     # drawing until k values are distinct could never finish
-    def no_replay(ints, fracs):
+    def no_replay(path):
         raise AssertionError("replayed a path")
 
     monkeypatch.setattr(pathenum, "_Replay", no_replay)
@@ -276,9 +300,9 @@ def test_one_replay_per_complete_path_plus_one_per_call(monkeypatch, enumerate_c
     count = [0]
 
     class CountingReplay(_Replay):
-        def __init__(self, ints, fracs):
+        def __init__(self, path):
             count[0] += 1
-            super().__init__(ints, fracs)
+            super().__init__(path)
 
     monkeypatch.setattr(pathenum, "_Replay", CountingReplay)
     enumerate_case()
@@ -373,6 +397,19 @@ def test_the_record_limit_admits_exactly_paths_times_n(monkeypatch, algorithm):
 def test_distinct_draws_refuse_a_draw_off_1_to_n():
     with pytest.raises(AssertionError, match="^collapsed enumeration expects draws on "):
         pathenum._enumerate(lambda src: src.randint(4), pathenum._distinct_draws(3, 1, None))
+
+
+def test_distinct_draws_exclude_and_reweigh_what_earlier_calls_drew():
+    # one draw per call: the second call branches over the values the first
+    # did not draw, weighted as one call of two draws would weigh them
+    def floor_dist(m):
+        return exact_distribution("floor", 4, m).probs
+
+    one_call = exact_subset_distribution("random_indices", 5, 2, draw_dist=floor_dist)
+    two_calls = pathenum._enumerate(
+        lambda src: frozenset((src.randint(5), src.randint(5))), pathenum._distinct_draws(5, 2, floor_dist)
+    )
+    assert two_calls == one_call
 
 
 def test_vitter_z_branches_refuse_a_slot_draw_off_1_to_k():

@@ -205,6 +205,34 @@ class TestFisherYates:
         assert sampling._shuffle(src, n) == next(shuffles(oracle, n, 1))
         assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
 
+    def test_each_single_shuffle_is_a_new_list(self):
+        # the identity list kept per n is copied, never handed out
+        first = sampling._shuffle(hash_source("copies"), 8)
+        second = sampling._shuffle(hash_source("copies"), 8)
+        assert first == second and first is not second
+        kept = list(second)
+        first[:] = [0] * 8
+        assert second == kept
+        # j = i + 1 at every i swaps nothing: the kept list is still 1..n
+        assert sampling._shuffle(ScriptedSource(ints=range(8, 1, -1)), 8) == list(range(1, 9))
+
+    def test_past_draw_chunk_a_single_shuffle_goes_through_shuffles(self, monkeypatch):
+        calls = []
+
+        def counting_shuffles(source, n, count):
+            calls.append((n, count))
+            return real_shuffles(source, n, count)
+
+        real_shuffles = sampling.shuffles
+        monkeypatch.setattr(sampling, "shuffles", counting_shuffles)
+        n = DRAW_CHUNK + 1
+        src, oracle = hash_source("past-chunk"), hash_source("past-chunk")
+        assert fisher_yates(src, n).items == tuple(next(real_shuffles(oracle, n, 1)))
+        assert (src.words_used, src.draws) == (oracle.words_used, oracle.draws)
+        assert calls == [(n, 1)]
+        fisher_yates(src, DRAW_CHUNK)  # up to DRAW_CHUNK, one direct call
+        assert calls == [(n, 1)]
+
     @pytest.mark.parametrize("n", [1, 2, 7, DRAW_CHUNK, DRAW_CHUNK + 1])
     def test_shuffles_draw_nothing_before_a_shuffle_is_taken(self, n):
         src = hash_source(f"lazy:{n}")
